@@ -37,7 +37,7 @@ from .inference import (
     bootstrap_pvalue_many,
     null_critical_values,
 )
-from .statistics import ALL_KINDS, EXP_KINDS, PARETO_KINDS, TestKind, TestTag
+from .statistics import ALL_KINDS, EXP_KINDS, PARETO_KINDS, TestKind, TestTag, _unique_kinds
 from .study import (
     FIXED_ALTERNATIVES,
     GOLF_SCALE,
@@ -89,30 +89,22 @@ def _resolve_seed(value) -> int:
 
 def _parse_tests(tokens, tuning_a: float):
     kinds = []
-
-    def push(kind):
-        if kind not in kinds:
-            kinds.append(kind)
-
     for token in tokens:
         t = token.strip().lower()
         if t == "all":
-            for k in ALL_KINDS:
-                push(_with_tuning(k, tuning_a))
+            kinds += [_with_tuning(k, tuning_a) for k in ALL_KINDS]
         elif t == "pareto":
-            for k in PARETO_KINDS:
-                push(_with_tuning(k, tuning_a))
+            kinds += [_with_tuning(k, tuning_a) for k in PARETO_KINDS]
         elif t == "exp":
-            for k in EXP_KINDS:
-                push(k)
+            kinds += EXP_KINDS
         elif t in _TEST_TOKENS:
-            push(_with_tuning(TestKind(_TEST_TOKENS[t]), tuning_a))
+            kinds.append(_with_tuning(TestKind(_TEST_TOKENS[t]), tuning_a))
         else:
             raise argparse.ArgumentTypeError(
                 f"unknown test {token!r}; choose from "
                 f"{', '.join(sorted(_TEST_TOKENS))}, pareto, exp, all"
             )
-    return kinds
+    return _unique_kinds(kinds)
 
 
 def _with_tuning(kind: TestKind, tuning_a: float) -> TestKind:
@@ -201,8 +193,6 @@ def _write_or_print(text: str, output) -> None:
 
 
 def cmd_test(args) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
     raw = read_numeric_file(args.input)
     if args.scale <= 0:
         raise DomainError(f"scale divisor must be positive, got {args.scale!r}")
@@ -213,7 +203,7 @@ def cmd_test(args) -> int:
         results.extend(
             bootstrap_pvalue_many(
                 kinds, estimator, sample, args.b,
-                RandomStream(seed, i * _TOUR_STRIDE), (args.alpha,),
+                RandomStream(args.seed, i * _TOUR_STRIDE), (args.alpha,),
             )
         )
     print(f"n = {sample.n}, scale divisor = {args.scale:g}, "
@@ -232,13 +222,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
     kinds = args.tests if args.tests is not None else list(ALL_KINDS)
     table = None
     for i, n in enumerate(args.n):
         part = null_critical_values(
-            kinds, n, args.alpha, args.reps, RandomStream(seed, i * _TOUR_STRIDE)
+            kinds, n, args.alpha, args.reps, RandomStream(args.seed, i * _TOUR_STRIDE)
         )
         if table is None:
             table = part
@@ -257,8 +245,6 @@ def cmd_critical_values(args) -> int:
 
 
 def cmd_power(args) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
     file_conf = {}
     if args.config:
         try:
@@ -290,7 +276,7 @@ def cmd_power(args) -> int:
                               (EstimatorMethod.MME, EstimatorMethod.MLE))),
         alternatives=tuple(alternatives) if alternatives else FIXED_ALTERNATIVES,
         desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", 0.1),
-        master_seed=seed,
+        master_seed=args.seed,
     )
     jobs = args.jobs or int(os.environ.get(_JOBS_ENV, "1"))
     out_dir = Path(args.output_dir) if args.output_dir else None
@@ -317,8 +303,6 @@ def cmd_power(args) -> int:
 
 
 def cmd_golf(args) -> int:
-    seed = _resolve_seed(args.seed)
-    print(f"seed: {seed}")
     tours = [Tour.PGA, Tour.LIV] if args.tour == "both" else [Tour(args.tour)]
     for tour_idx, tour in enumerate(tours):
         data = golf_dataset(tour)
@@ -332,7 +316,7 @@ def cmd_golf(args) -> int:
         kinds = args.tests if args.tests is not None else list(PARETO_KINDS)
         results = run_golf_application(
             tour, args.estimator, kinds, args.b,
-            RandomStream(seed, tour_idx * _TOUR_STRIDE),
+            RandomStream(args.seed, tour_idx * _TOUR_STRIDE),
         )
         print(render_table(results, args.format), end="")
     return 0
@@ -342,10 +326,9 @@ def cmd_golf(args) -> int:
 # parser
 
 
-def _add_common(p, *, seed=True, fmt=True):
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed; generated and printed when omitted")
+def _add_common(p, *, fmt=True):
+    p.add_argument("--seed", type=int, default=None,
+                   help="RNG seed; generated and printed when omitted")
     if fmt:
         p.add_argument("--format", choices=("markdown", "csv"), default="markdown",
                        help="table output format")
@@ -427,6 +410,8 @@ def main(argv=None) -> int:
             args.alternatives = [_parse_alternative(t) for t in args.alternatives]
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    args.seed = _resolve_seed(args.seed)
+    print(f"seed: {args.seed}")
     try:
         return args.func(args)
     except CliParseError as exc:

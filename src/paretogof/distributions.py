@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -57,8 +58,14 @@ class RandomStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        # Philox keys are two 64-bit words; masking would alias -1 with 2**64 - 1
+        if not (0 <= self.seed <= _MASK64 and 0 <= self.stream_id <= _MASK64):
+            raise ValueError("seed and stream_id must lie in [0, 2**64), got "
+                             f"seed={self.seed!r}, stream_id={self.stream_id!r}")
+
     def generator(self) -> np.random.Generator:
-        key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
+        key = (self.seed << 64) | self.stream_id
         return np.random.Generator(np.random.Philox(key=key))
 
     def shifted(self, offset: int) -> "RandomStream":
@@ -116,6 +123,10 @@ class Sample:
 
     def __repr__(self) -> str:
         return f"Sample(n={self.n}, min={self._values.min():g}, max={self._values.max():g})"
+
+
+def _as_sample(sample) -> Sample:
+    return sample if isinstance(sample, Sample) else Sample(sample)
 
 
 class Family(str, Enum):
@@ -386,8 +397,12 @@ def mixture_cdf(spec: MixtureSpec, x):
 # Row-block sampling used by the simulation machinery
 
 
-def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int, draw) -> np.ndarray:
+def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
+               draws) -> np.ndarray:
     """Draw a (reps, n) matrix, row r from substream ``offset + step * r``.
+
+    ``draws`` yields one sampler per row, so rows may differ in their law; it
+    is consumed lazily, one row at a time.
 
     Rows are validated against the support (finite, strictly above one).
     An invalid draw, which happens only when a uniform lands exactly on an
@@ -399,7 +414,7 @@ def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int, 
     if reps < 1:
         raise ValueError("replication count must be at least 1")
     out = np.empty((reps, n), dtype=np.float64)
-    for r in range(reps):
+    for r, draw in zip(range(reps), draws):
         g = stream.shifted(offset + step * r).generator()
         row = np.asarray(draw(g, n), dtype=np.float64)
         tries = 0
@@ -418,24 +433,24 @@ def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int, 
 def pareto_sample(beta: float, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from the Pareto model by inverse transform."""
     beta = _check_beta(beta)
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _pareto_draw(beta))[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, [_pareto_draw(beta)])[0])
 
 
 def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
                 offset: int = 0, step: int = 1) -> np.ndarray:
     """(reps, n) matrix of null samples; row r uses substream offset + step*r."""
     beta = _check_beta(beta)
-    return _fill_rows(n, reps, stream, offset, step, _pareto_draw(beta))
+    return _fill_rows(n, reps, stream, offset, step, repeat(_pareto_draw(beta)))
 
 
 def alt_sample(spec: AlternativeSpec, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from one alternative family."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _alt_draw(spec))[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, [_alt_draw(spec)])[0])
 
 
 def mixture_sample(spec: MixtureSpec, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from a contaminated Pareto mixture."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _mixture_draw(spec))[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, [_mixture_draw(spec)])[0])
 
 
 def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
@@ -447,7 +462,7 @@ def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
         draw = _alt_draw(spec)
     else:
         raise TypeError(f"expected AlternativeSpec or MixtureSpec, got {type(spec).__name__}")
-    return _fill_rows(n, reps, stream, offset, step, draw)
+    return _fill_rows(n, reps, stream, offset, step, repeat(draw))
 
 
 def bootstrap_rows(betas: np.ndarray, n: int, stream: RandomStream,
@@ -462,20 +477,4 @@ def bootstrap_rows(betas: np.ndarray, n: int, stream: RandomStream,
         raise ValueError("betas must be one-dimensional")
     if np.any(~np.isfinite(betas)) or np.any(betas <= 0):
         raise DomainError("bootstrap shapes must be positive and finite")
-    reps = betas.size
-    out = np.empty((reps, n), dtype=np.float64)
-    for r in range(reps):
-        g = stream.shifted(offset + step * r).generator()
-        b = betas[r]
-        row = np.power(1.0 - g.random(n), -1.0 / b)
-        tries = 0
-        while not (np.all(np.isfinite(row)) and np.all(row > 1.0)):
-            tries += 1
-            if tries > _MAX_REDRAWS:
-                raise DomainError(
-                    f"substream {offset + step * r} produced no valid bootstrap "
-                    f"sample in {_MAX_REDRAWS} redraws"
-                )
-            row = np.power(1.0 - g.random(n), -1.0 / b)
-        out[r] = row
-    return out
+    return _fill_rows(n, betas.size, stream, offset, step, map(_pareto_draw, betas))

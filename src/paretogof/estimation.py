@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DomainError, Sample
+from .distributions import DomainError, Sample, _as_sample
 
 __all__ = [
     "EstimatorMethod",
@@ -45,10 +45,6 @@ class ShapeEstimate:
     def __post_init__(self) -> None:
         if not np.isfinite(self.value) or self.value <= 0:
             raise DomainError(f"estimated shape must be positive, got {self.value!r}")
-
-
-def _as_sample(sample) -> Sample:
-    return sample if isinstance(sample, Sample) else Sample(sample)
 
 
 def estimate_mle(sample) -> ShapeEstimate:

@@ -41,13 +41,13 @@ from .distributions import (
     DomainError,
     MixtureSpec,
     RandomStream,
-    Sample,
+    _as_sample,
     alternative_rows,
     bootstrap_rows,
     pareto_rows,
 )
 from .estimation import EstimatorMethod, estimate_shape, mle_rows, mme_rows
-from .statistics import TestKind, statistic_rows
+from .statistics import TestKind, _unique_kinds, statistic_rows
 
 __all__ = [
     "UnsupportedPathError",
@@ -161,50 +161,26 @@ def _redraw_bad(x, b, est_fn, redraw_row, context: str) -> None:
         t += 1
 
 
-def _alt_rows_estimated(spec, n, reps, stream, offset, step, retry_base, estimator):
+def _rows_estimated(draw, reps, offset, step, retry_base, estimator, context: str):
+    """Draw ``reps`` rows and estimate each row's shape, redrawing degenerate ones.
+
+    ``draw(rows, offset, step)`` returns the rows in the ``range`` ``rows``,
+    row r from substream ``offset + step * r``. Retry t of row r draws from
+    substream ``retry_base + _MAX_RETRIES * r + t``.
+    """
     est_fn = _est_fn(estimator)
-    x = alternative_rows(spec, n, reps, stream, offset, step)
+    x = draw(range(reps), offset, step)
     b = est_fn(x)
 
     def redraw(r, t):
-        return alternative_rows(spec, n, 1, stream, retry_base + _MAX_RETRIES * r + t, 1)[0]
+        return draw(range(r, r + 1), retry_base + _MAX_RETRIES * r + t, 1)[0]
 
-    _redraw_bad(x, b, est_fn, redraw, "alternative sampling")
-    return x, b
-
-
-def _null_rows_estimated(beta, n, reps, stream, offset, step, retry_base, estimator):
-    est_fn = _est_fn(estimator)
-    x = pareto_rows(beta, n, reps, stream, offset, step)
-    b = est_fn(x)
-
-    def redraw(r, t):
-        return pareto_rows(beta, n, 1, stream, retry_base + _MAX_RETRIES * r + t, 1)[0]
-
-    _redraw_bad(x, b, est_fn, redraw, "null sampling")
-    return x, b
-
-
-def _boot_rows_estimated(betas, n, stream, offset, step, retry_base, estimator):
-    est_fn = _est_fn(estimator)
-    x = bootstrap_rows(betas, n, stream, offset, step)
-    b = est_fn(x)
-
-    def redraw(r, t):
-        return bootstrap_rows(betas[r : r + 1], n, stream,
-                              retry_base + _MAX_RETRIES * r + t, 1)[0]
-
-    _redraw_bad(x, b, est_fn, redraw, "bootstrap sampling")
+    _redraw_bad(x, b, est_fn, redraw, context)
     return x, b
 
 
 def _as_kinds(kinds):
-    out = []
-    for k in kinds:
-        if not isinstance(k, TestKind):
-            k = TestKind(k)
-        if k not in out:
-            out.append(k)
+    out = _unique_kinds(kinds)
     if not out:
         raise ValueError("need at least one test kind")
     return out
@@ -325,7 +301,9 @@ def null_critical_values(kinds, n: int, alphas, reps: int,
     if reps < 1000:
         raise ValueError("critical-value simulation needs reps >= 1000")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
-    x, b = _null_rows_estimated(1.0, n, reps, stream, 0, 1, reps, EstimatorMethod.MLE)
+    x, b = _rows_estimated(
+        lambda rows, offset, step: pareto_rows(1.0, n, len(rows), stream, offset, step),
+        reps, 0, 1, reps, EstimatorMethod.MLE, "null sampling")
     stats = statistic_rows(kinds, x ** b[:, None], 1.0)
     table = CriticalValueTable(reps=reps, seed=stream.seed)
     for kind in kinds:
@@ -431,7 +409,9 @@ def power_fixed_critical_many(kinds, alt, n: int, alpha: float, reps: int,
     if reps < 1:
         raise ValueError("reps must be at least 1")
     crit = {k: cv_table.value(k, EstimatorMethod.MLE, n, alpha) for k in kinds}
-    x, b = _alt_rows_estimated(alt, n, reps, stream, 0, 1, reps, EstimatorMethod.MLE)
+    x, b = _rows_estimated(
+        lambda rows, offset, step: alternative_rows(alt, n, len(rows), stream, offset, step),
+        reps, 0, 1, reps, EstimatorMethod.MLE, "alternative sampling")
     stats = statistic_rows(kinds, x ** b[:, None], 1.0)
     return {
         k: PowerEstimate(alt, k, EstimatorMethod.MLE, n, alpha,
@@ -466,9 +446,12 @@ def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int
     if reps < 2:
         raise ValueError("warp-speed estimation needs at least 2 replications")
 
-    x, b = _alt_rows_estimated(alt, n, reps, stream, 0, 2, 2 * reps, estimator)
-    xb, bb = _boot_rows_estimated(b, n, stream, 1, 2,
-                                  (2 + _MAX_RETRIES) * reps, estimator)
+    x, b = _rows_estimated(
+        lambda rows, offset, step: alternative_rows(alt, n, len(rows), stream, offset, step),
+        reps, 0, 2, 2 * reps, estimator, "alternative sampling")
+    xb, bb = _rows_estimated(
+        lambda rows, offset, step: bootstrap_rows(b[rows], n, stream, offset, step),
+        reps, 1, 2, (2 + _MAX_RETRIES) * reps, estimator, "bootstrap sampling")
     if estimator is EstimatorMethod.MLE:
         stats = statistic_rows(kinds, x ** b[:, None], 1.0)
         boot = statistic_rows(kinds, xb ** bb[:, None], 1.0)
@@ -509,12 +492,14 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
     if B < 1:
         raise ValueError("bootstrap needs B >= 1")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
-    sample = sample if isinstance(sample, Sample) else Sample(sample)
+    sample = _as_sample(sample)
     est = estimate_shape(sample, estimator)
     obs_display, _ = plugin_statistic_rows(kinds, sample.values[None, :], estimator)
 
     betas = np.full(B, est.value)
-    xb, bb = _boot_rows_estimated(betas, n := sample.n, stream, 0, 1, B, estimator)
+    xb, bb = _rows_estimated(
+        lambda rows, offset, step: bootstrap_rows(betas[rows], sample.n, stream, offset, step),
+        B, 0, 1, B, estimator, "bootstrap sampling")
     if estimator is EstimatorMethod.MLE:
         obs_decision, _ = pivotal_statistic_rows(kinds, sample.values[None, :])
         boot = statistic_rows(kinds, xb ** bb[:, None], 1.0)
@@ -531,7 +516,7 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
                 kind=k,
                 estimator=estimator,
                 statistic=float(obs_display[k][0]),
-                n=n,
+                n=sample.n,
                 p_value=p,
                 reject_at=MappingProxyType({a: p <= a for a in alphas}),
                 decision_statistic=t_obs,

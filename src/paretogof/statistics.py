@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DomainError, Sample, _check_beta
+from .distributions import DomainError, _as_sample, _check_beta
 from .estimation import mle_rows
 
 __all__ = [
@@ -185,10 +185,6 @@ def order_weights(n: int) -> np.ndarray:
     return _order_weights(int(n)).copy()
 
 
-def _as_sample(sample) -> Sample:
-    return sample if isinstance(sample, Sample) else Sample(sample)
-
-
 def _edf_sorted(xs: np.ndarray, beta_col: np.ndarray):
     """Clamped model CDF at the sorted values, plus a per-row clamp indicator."""
     f = 1.0 - xs ** (-beta_col)
@@ -225,6 +221,14 @@ def _za_rows(f: np.ndarray) -> np.ndarray:
     return -np.sum(
         np.log(f) / (n - j + 0.5) + np.log1p(-f) / (j - 0.5), axis=1
     )
+
+
+# EDF kernels on the clamped CDF; the Exp* tags reuse them on the fitted log scale
+_EDF_KERNELS = {
+    TestTag.KS: _ks_rows, TestTag.CV: _cv_rows, TestTag.AD: _ad_rows, TestTag.ZA: _za_rows,
+    TestTag.EXP_KS: _ks_rows, TestTag.EXP_CV: _cv_rows,
+    TestTag.EXP_AD: _ad_rows, TestTag.EXP_ZA: _za_rows,
+}
 
 
 def _mp1_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -291,6 +295,65 @@ def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
 # batch evaluation
 
 
+def _unique_kinds(kinds) -> list:
+    """Coerce each entry to :class:`TestKind` and drop repeats, keeping first-seen order."""
+    out = []
+    for k in kinds:
+        k = k if isinstance(k, TestKind) else TestKind(k)
+        if k not in out:
+            out.append(k)
+    return out
+
+
+def _evaluate(kinds, x: np.ndarray, beta):
+    """:func:`statistic_rows` plus, for each log-taking EDF kind (AD, ZA and
+    their exponentiality versions), the per-row flag of a clamped CDF value."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("x must be a (reps, n) matrix")
+    m, n = x.shape
+    wanted = _unique_kinds(kinds)
+    pareto_kinds = [k for k in wanted if not k.is_exponentiality]
+
+    b = None
+    if pareto_kinds:
+        if beta is None:
+            raise ValueError("beta is required for the Pareto-model statistics")
+        b = np.asarray(beta, dtype=np.float64)
+        if b.ndim == 0:
+            b = np.full(m, float(b))
+        elif b.shape != (m,):
+            raise ValueError(f"beta must be scalar or shape ({m},), got {b.shape}")
+        if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
+            raise DomainError("beta values must be positive and finite")
+
+    xs = None
+    if any(k.tag is not TestTag.MELLIN_G for k in wanted):
+        xs = np.sort(x, axis=1)
+
+    out = {}
+    clamped = {}
+    edf = {}  # False for the model CDF, True for the fitted log-scale one
+    for k in wanted:
+        tag = k.tag
+        if tag in _EDF_KERNELS:
+            exp = k.is_exponentiality
+            if exp not in edf:
+                rate = mle_rows(x) if exp else b
+                edf[exp] = _edf_sorted(xs, rate[:, None])
+            f, hit = edf[exp]
+            out[k] = _EDF_KERNELS[tag](f)
+            if tag in _LOG_TAGS:
+                clamped[k] = hit
+        elif tag is TestTag.MP1:
+            out[k] = _mp1_rows(x, xs, b)
+        elif tag is TestTag.MP2:
+            out[k] = _mp2_rows(x, xs, b)
+        else:
+            out[k] = _mellin_rows(x, b, k.tuning_a)
+    return out, clamped
+
+
 def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
     """Evaluate statistics on every row of a (reps, n) sample matrix.
 
@@ -317,101 +380,45 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
     Degenerate CDF values are clamped to [1e-15, 1 - 1e-15] silently here;
     the single-sample wrappers report a flag instead.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be a (reps, n) matrix")
-    m, n = x.shape
-    wanted = []
-    for k in kinds:
-        if not isinstance(k, TestKind):
-            k = TestKind(k)
-        if k not in wanted:
-            wanted.append(k)
-    if not wanted:
-        return {}
-
-    pareto_kinds = [k for k in wanted if not k.is_exponentiality]
-    exp_kinds = [k for k in wanted if k.is_exponentiality]
-
-    b = None
-    if pareto_kinds:
-        if beta is None:
-            raise ValueError("beta is required for the Pareto-model statistics")
-        b = np.asarray(beta, dtype=np.float64)
-        if b.ndim == 0:
-            b = np.full(m, float(b))
-        elif b.shape != (m,):
-            raise ValueError(f"beta must be scalar or shape ({m},), got {b.shape}")
-        if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
-            raise DomainError("beta values must be positive and finite")
-
-    xs = None
-    need_sorted = exp_kinds or any(
-        k.tag in (TestTag.KS, TestTag.CV, TestTag.AD, TestTag.ZA, TestTag.MP1, TestTag.MP2)
-        for k in pareto_kinds
-    )
-    if need_sorted:
-        xs = np.sort(x, axis=1)
-
-    out = {}
-    f = None
-    f_exp = None
-    for k in wanted:
-        tag = k.tag
-        if tag in (TestTag.KS, TestTag.CV, TestTag.AD, TestTag.ZA):
-            if f is None:
-                f, _ = _edf_sorted(xs, b[:, None])
-            kern = {TestTag.KS: _ks_rows, TestTag.CV: _cv_rows,
-                    TestTag.AD: _ad_rows, TestTag.ZA: _za_rows}[tag]
-            out[k] = kern(f)
-        elif tag is TestTag.MP1:
-            out[k] = _mp1_rows(x, xs, b)
-        elif tag is TestTag.MP2:
-            out[k] = _mp2_rows(x, xs, b)
-        elif tag is TestTag.MELLIN_G:
-            out[k] = _mellin_rows(x, b, k.tuning_a)
-        else:
-            if f_exp is None:
-                lam = mle_rows(x)
-                f_exp, _ = _edf_sorted(xs, lam[:, None])
-            kern = {TestTag.EXP_KS: _ks_rows, TestTag.EXP_CV: _cv_rows,
-                    TestTag.EXP_AD: _ad_rows, TestTag.EXP_ZA: _za_rows}[tag]
-            out[k] = kern(f_exp)
-    return out
+    return _evaluate(kinds, x, beta)[0]
 
 
 # ---------------------------------------------------------------------------
 # single-sample interface
 
 
-def _single_edf(kind: TestKind, sample, beta: float) -> StatisticValue:
+def _single(kinds, sample, beta, beta_used) -> list:
+    """Evaluate ``kinds`` on one sample as a one-row batch."""
+    values, clamped = _evaluate(kinds, sample.values[None, :], beta)
+    return [StatisticValue(k, float(v[0]), sample.n, beta_used,
+                           bool(clamped[k][0]) if k in clamped else False)
+            for k, v in values.items()]
+
+
+def _single_pareto(kind: TestKind, sample, beta: float) -> StatisticValue:
     sample = _as_sample(sample)
     beta = _check_beta(beta)
-    f, hit = _edf_sorted(sample.sorted_values[None, :], np.array([[beta]]))
-    kern = {TestTag.KS: _ks_rows, TestTag.CV: _cv_rows,
-            TestTag.AD: _ad_rows, TestTag.ZA: _za_rows}[kind.tag]
-    clamped = bool(hit[0]) if kind.tag in _LOG_TAGS else False
-    return StatisticValue(kind, float(kern(f)[0]), sample.n, beta, clamped)
+    return _single([kind], sample, beta, beta)[0]
 
 
 def ks(sample, beta: float) -> StatisticValue:
     """Kolmogorov-Smirnov sup-distance between the empirical and model CDFs."""
-    return _single_edf(KS, sample, beta)
+    return _single_pareto(KS, sample, beta)
 
 
 def cv(sample, beta: float) -> StatisticValue:
     """Cramér-von Mises integrated squared CDF discrepancy."""
-    return _single_edf(CV, sample, beta)
+    return _single_pareto(CV, sample, beta)
 
 
 def ad(sample, beta: float) -> StatisticValue:
     """Anderson-Darling tail-weighted CDF discrepancy."""
-    return _single_edf(AD, sample, beta)
+    return _single_pareto(AD, sample, beta)
 
 
 def za(sample, beta: float) -> StatisticValue:
     """Likelihood-ratio EDF statistic with 1/(j - 1/2) spacings."""
-    return _single_edf(ZA, sample, beta)
+    return _single_pareto(ZA, sample, beta)
 
 
 def mp1(sample, beta: float) -> StatisticValue:
@@ -426,10 +433,7 @@ def mp1(sample, beta: float) -> StatisticValue:
 
     with the rank weights w_j of :func:`order_weights`.
     """
-    sample = _as_sample(sample)
-    beta = _check_beta(beta)
-    val = _mp1_rows(sample.values[None, :], sample.sorted_values[None, :], np.array([beta]))
-    return StatisticValue(MP1, float(val[0]), sample.n, beta)
+    return _single_pareto(MP1, sample, beta)
 
 
 def mp2(sample, beta: float) -> StatisticValue:
@@ -439,10 +443,7 @@ def mp2(sample, beta: float) -> StatisticValue:
     factors of the product s·t, which weights departures differently.
     Evaluates the closed-form reduction, again O(n) after sorting.
     """
-    sample = _as_sample(sample)
-    beta = _check_beta(beta)
-    val = _mp2_rows(sample.values[None, :], sample.sorted_values[None, :], np.array([beta]))
-    return StatisticValue(MP2, float(val[0]), sample.n, beta)
+    return _single_pareto(MP2, sample, beta)
 
 
 def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
@@ -453,11 +454,8 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
     of (β + t) M(t) is the constant β. Expanding the square gives pairwise
     terms in the integrals of :func:`mellin_integrals`, so the cost is O(n²).
     """
-    sample = _as_sample(sample)
-    beta = _check_beta(beta)
     kind = MELLIN_G if a == 1.0 else TestKind(TestTag.MELLIN_G, a)
-    val = _mellin_rows(sample.values[None, :], np.array([beta]), kind.tuning_a)
-    return StatisticValue(kind, float(val[0]), sample.n, beta)
+    return _single_pareto(kind, sample, beta)
 
 
 def exp_edf_suite(sample) -> list:
@@ -469,10 +467,4 @@ def exp_edf_suite(sample) -> list:
     """
     sample = _as_sample(sample)
     lam = float(mle_rows(sample.values[None, :])[0])
-    f, hit = _edf_sorted(sample.sorted_values[None, :], np.array([[lam]]))
-    out = []
-    for kind, kern in ((EXP_KS, _ks_rows), (EXP_CV, _cv_rows),
-                       (EXP_AD, _ad_rows), (EXP_ZA, _za_rows)):
-        clamped = bool(hit[0]) if kind.tag in _LOG_TAGS else False
-        out.append(StatisticValue(kind, float(kern(f)[0]), sample.n, lam, clamped))
-    return out
+    return _single(EXP_KINDS, sample, None, lam)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .inference import (
     power_fixed_critical_many,
     warp_speed_power_many,
 )
-from .statistics import PARETO_KINDS, TestKind
+from .statistics import PARETO_KINDS, TestKind, _unique_kinds
 
 __all__ = [
     "FIXED_ALTERNATIVES",
@@ -133,6 +135,7 @@ class StudyConfig:
                 )
         if not self.tests or not self.estimators or not self.alternatives:
             raise ValueError("tests, estimators and alternatives must be non-empty")
+        RandomStream(self.master_seed)  # rejects a seed outside [0, 2**64)
 
     def scaled_reps(self, which: str) -> int:
         base = {
@@ -182,17 +185,28 @@ def _run_cell(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
     kinds = [k for k in config.tests
              if not (k.is_exponentiality and estimator is EstimatorMethod.MME)]
     if not kinds:
-        return alt_idx, est_idx, {}
+        return {}
     stream = _cell_stream(config, n_idx, alt_idx, est_idx)
     if estimator is EstimatorMethod.MLE:
-        cells = power_fixed_critical_many(
+        return power_fixed_critical_many(
             kinds, alt, n, config.alpha, config.scaled_reps("power"), cv_table, stream
         )
-    else:
-        cells = warp_speed_power_many(
-            kinds, estimator, alt, n, config.alpha, config.scaled_reps("warp"), stream
-        )
-    return alt_idx, est_idx, cells
+    return warp_speed_power_many(
+        kinds, estimator, alt, n, config.alpha, config.scaled_reps("warp"), stream
+    )
+
+
+def _cell_outcome(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
+                  cv_table: CriticalValueTable | None):
+    """``(cells, None)`` for a cell that ran, ``(None, reason)`` for one that failed.
+
+    Every worker count applies this one failure policy. The exception is
+    caught outside :func:`_run_cell` so that a failed cell still raises there.
+    """
+    try:
+        return _run_cell(config, n_idx, alt_idx, est_idx, cv_table), None
+    except (DomainError, ValueError) as exc:
+        return None, str(exc)
 
 
 def run_power_table(config: StudyConfig, n: int | None = None,
@@ -229,38 +243,25 @@ def run_power_table(config: StudyConfig, n: int | None = None,
         for est_idx in range(len(config.estimators))
     ]
     cells: dict = {}
+    from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
 
-    def record(alt_idx, est_idx, result):
-        alt = config.alternatives[alt_idx]
-        estimator = config.estimators[est_idx]
-        for kind, est in result.items():
-            cells[(alt, kind, estimator)] = est
-        skipped = [k for k in config.tests if k not in result]
-        for kind in skipped:
-            notes.append(
-                f"{alt.label} / {kind.label} / {estimator.value}: "
-                "not applicable on this route"
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        outcomes = (pool.map if pool else map)(
+            _cell_outcome, repeat(config), repeat(n_idx),
+            [a for a, _ in tasks], [e for _, e in tasks], repeat(cv_table),
+        )
+        for (alt_idx, est_idx), (result, error) in zip(tasks, outcomes):
+            alt = config.alternatives[alt_idx]
+            estimator = config.estimators[est_idx]
+            if error is not None:
+                notes.append(f"{alt.label} / {estimator.value}: failed ({error})")
+                continue
+            for kind, est in result.items():
+                cells[(alt, kind, estimator)] = est
+            notes.extend(
+                f"{alt.label} / {kind.label} / {estimator.value}: not applicable on this route"
+                for kind in config.tests if kind not in result
             )
-
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_cell, config, n_idx, alt_idx, est_idx, cv_table)
-                for alt_idx, est_idx in tasks
-            ]
-            for fut in futures:
-                record(*fut.result())
-    else:
-        for alt_idx, est_idx in tasks:
-            try:
-                record(*_run_cell(config, n_idx, alt_idx, est_idx, cv_table))
-            except (DomainError, ValueError) as exc:
-                alt = config.alternatives[alt_idx]
-                notes.append(
-                    f"{alt.label} / {config.estimators[est_idx].value}: failed ({exc})"
-                )
 
     columns = tuple(
         (kind, estimator)
@@ -377,87 +378,33 @@ def _pct(p: float) -> str:
     return str(int(math.floor(p * 100.0 + 0.5)))
 
 
-def _power_markdown(table: PowerTable) -> str:
-    heads = ["alternative"] + [f"{k.label} {e.value.upper()}" for k, e in table.columns]
-    lines = ["| " + " | ".join(heads) + " |",
-             "| --- " + "| ---: " * (len(heads) - 1) + "|"]
-    for alt in table.rows:
-        row = [alt.label]
-        for kind, estimator in table.columns:
-            cell = table.get(alt, kind, estimator)
-            row.append(_pct(cell.power) if cell is not None else "")
-        lines.append("| " + " | ".join(row) + " |")
+def _grid(corner: str, rows, columns, heads, cell) -> tuple:
+    """Header and body of a text table.
+
+    ``rows`` holds (key, label) pairs. ``heads(column)`` names the
+    sub-columns a column spans, and ``cell(key, column)`` gives their texts,
+    or None to leave them empty.
+    """
+    head = [corner] + [h for col in columns for h in heads(col)]
+    body = []
+    for key, label in rows:
+        line = [label]
+        for col in columns:
+            texts = cell(key, col)
+            line += [""] * len(heads(col)) if texts is None else texts
+        body.append(line)
+    return head, body
+
+
+def _markdown(head, body) -> str:
+    lines = ["| " + " | ".join(head) + " |",
+             "| --- " + "| ---: " * (len(head) - 1) + "|"]
+    lines += ["| " + " | ".join(line) + " |" for line in body]
     return "\n".join(lines) + "\n"
 
 
-def _power_csv(table: PowerTable) -> str:
-    heads = ["alternative"]
-    for kind, estimator in table.columns:
-        stem = f"{kind.label} {estimator.value}"
-        heads += [stem, stem + " se"]
-    lines = [",".join(heads)]
-    for alt in table.rows:
-        row = [alt.label]
-        for kind, estimator in table.columns:
-            cell = table.get(alt, kind, estimator)
-            if cell is None:
-                row += ["", ""]
-            else:
-                row += [f"{cell.power:.4f}", f"{cell.std_error:.4f}"]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _results_markdown(results) -> str:
-    estimators, kinds = _result_axes(results)
-    heads = ["test"]
-    for est in estimators:
-        heads += [f"{est.value.upper()} statistic", f"{est.value.upper()} p-value"]
-    lines = ["| " + " | ".join(heads) + " |",
-             "| --- " + "| ---: " * (len(heads) - 1) + "|"]
-    index = {(r.kind, r.estimator): r for r in results}
-    for kind in kinds:
-        row = [kind.label]
-        for est in estimators:
-            r = index.get((kind, est))
-            if r is None:
-                row += ["", ""]
-            else:
-                row += [f"{r.statistic:.3f}",
-                        f"{r.p_value:.4f}" if r.p_value is not None else ""]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def _results_csv(results) -> str:
-    estimators, kinds = _result_axes(results)
-    heads = ["test"]
-    for est in estimators:
-        heads += [f"{est.value} statistic", f"{est.value} p-value"]
-    lines = [",".join(heads)]
-    index = {(r.kind, r.estimator): r for r in results}
-    for kind in kinds:
-        row = [kind.label]
-        for est in estimators:
-            r = index.get((kind, est))
-            if r is None:
-                row += ["", ""]
-            else:
-                row += [repr(r.statistic),
-                        repr(r.p_value) if r.p_value is not None else ""]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _result_axes(results):
-    estimators: list = []
-    kinds: list = []
-    for r in results:
-        if r.estimator not in estimators:
-            estimators.append(r.estimator)
-        if r.kind not in kinds:
-            kinds.append(r.kind)
-    return estimators, kinds
+def _csv(head, body) -> str:
+    return "\n".join(",".join(line) for line in [head, *body]) + "\n"
 
 
 def render_table(table, fmt: str = "markdown") -> str:
@@ -469,12 +416,46 @@ def render_table(table, fmt: str = "markdown") -> str:
     """
     if fmt not in ("markdown", "csv"):
         raise ValueError(f"format must be 'markdown' or 'csv', got {fmt!r}")
+    md = fmt == "markdown"
     if isinstance(table, PowerTable):
-        return _power_markdown(table) if fmt == "markdown" else _power_csv(table)
-    results = list(table)
-    if not all(isinstance(r, TestResult) for r in results):
-        raise TypeError("render_table accepts a PowerTable or a list of TestResult")
-    return _results_markdown(results) if fmt == "markdown" else _results_csv(results)
+        def heads(col):
+            kind, est = col
+            if md:
+                return [f"{kind.label} {est.value.upper()}"]
+            return [f"{kind.label} {est.value}", f"{kind.label} {est.value} se"]
+
+        def cell(alt, col):
+            c = table.get(alt, *col)
+            if c is None:
+                return None
+            return [_pct(c.power)] if md else [f"{c.power:.4f}", f"{c.std_error:.4f}"]
+
+        rows = [(alt, alt.label) for alt in table.rows]
+        head, body = _grid("alternative", rows, table.columns, heads, cell)
+    else:
+        results = list(table)
+        if not all(isinstance(r, TestResult) for r in results):
+            raise TypeError("render_table accepts a PowerTable or a list of TestResult")
+        estimators = list(dict.fromkeys(r.estimator for r in results))
+        kinds = _unique_kinds(r.kind for r in results)
+        index = {(r.kind, r.estimator): r for r in results}
+
+        def heads(est):
+            name = est.value.upper() if md else est.value
+            return [f"{name} statistic", f"{name} p-value"]
+
+        def cell(kind, est):
+            r = index.get((kind, est))
+            if r is None:
+                return None
+            if r.p_value is None:
+                p = ""
+            else:
+                p = f"{r.p_value:.4f}" if md else repr(r.p_value)
+            return [f"{r.statistic:.3f}" if md else repr(r.statistic), p]
+
+        head, body = _grid("test", [(k, k.label) for k in kinds], estimators, heads, cell)
+    return _markdown(head, body) if md else _csv(head, body)
 
 
 def study_manifest(config: StudyConfig, tables) -> dict:

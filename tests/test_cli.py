@@ -157,6 +157,16 @@ def test_missing_input_path_is_a_usage_error():
     assert exc.value.code == 2
 
 
+def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
+    assert main(["test", str(null_file), "--seed", "-1", "--b", "10"]) == 2
+    assert "seed=-1" in capsys.readouterr().err
+    # the moment route builds no critical-value table, so the study config
+    # itself has to reject the seed
+    assert main(["power", "--seed", str(2**64), "--n", "10", "--estimator", "mme",
+                 "--alternatives", "pareto:2", "--tests", "ks"]) == 2
+    assert f"seed={2**64}" in capsys.readouterr().err
+
+
 def test_invalid_study_grid_is_a_usage_error(capsys):
     code = main(["power", "--alpha", "2.0", "--n", "10",
                  "--alternatives", "pareto:2", "--tests", "ks",

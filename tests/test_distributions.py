@@ -55,6 +55,24 @@ def test_shifted_accumulates():
     assert s.shifted(2).shifted(3) == RandomStream(11, 10)
 
 
+def test_stream_rejects_seeds_and_ids_outside_64_bits():
+    # masking would alias -1 with 2**64 - 1 and 2**64 with 0
+    top = 2**64 - 1
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match=f"seed={bad}"):
+            RandomStream(bad)
+        with pytest.raises(ValueError, match=f"stream_id={bad}"):
+            RandomStream(0, bad)
+    with pytest.raises(ValueError):
+        RandomStream(5, top).shifted(1)
+    with pytest.raises(ValueError):
+        RandomStream(5, 0).shifted(-1)
+    edge = RandomStream(top, top)
+    key = (top << 64) | top
+    manual = np.random.Generator(np.random.Philox(key=key)).random(4)
+    np.testing.assert_array_equal(edge.generator().random(4), manual)
+
+
 # ---------------------------------------------------------------------------
 # Sample
 
@@ -308,7 +326,7 @@ def test_fill_rows_retries_within_the_same_substream():
             return np.full(n, 1.0)  # invalid: sits on the support endpoint
         return np.full(n, 2.0) + g.random(n)
 
-    out = _fill_rows(4, 1, RandomStream(1, 0), 0, 1, draw)
+    out = _fill_rows(4, 1, RandomStream(1, 0), 0, 1, [draw])
     assert calls["count"] == 3
     assert np.all(out > 1.0)
 
@@ -318,4 +336,4 @@ def test_fill_rows_gives_up_after_bounded_retries():
         return np.full(n, np.inf)
 
     with pytest.raises(DomainError, match="redraws"):
-        _fill_rows(4, 1, RandomStream(1, 0), 0, 1, always_bad)
+        _fill_rows(4, 1, RandomStream(1, 0), 0, 1, [always_bad])

@@ -209,10 +209,14 @@ def test_critical_values_are_seed_stable(cv20):
     reps = 20_000
     other = null_critical_values(ALL_KINDS, 20, [0.05], reps, RandomStream(987654321, 5))
     x, b = (None, None)
-    from paretogof.inference import _null_rows_estimated
+    from paretogof.inference import _rows_estimated
     from paretogof.statistics import statistic_rows
 
-    x, b = _null_rows_estimated(1.0, 20, reps, RandomStream(987654321, 5), 0, 1, reps, MLE)
+    stream = RandomStream(987654321, 5)
+    x, b = _rows_estimated(
+        lambda rows, off, step: pareto_rows(1.0, 20, len(rows), stream, off, step),
+        reps, 0, 1, reps, MLE, "null sampling",
+    )
     stats = statistic_rows(ALL_KINDS, x ** b[:, None], 1.0)
     for k in ALL_KINDS:
         pool = np.sort(stats[k])
@@ -231,10 +235,14 @@ def test_size_is_controlled_on_fresh_null_draws(cv20):
     # the full grid at 10^4
     reps = 4000
     x, b = (None, None)
-    from paretogof.inference import _null_rows_estimated
+    from paretogof.inference import _rows_estimated
     from paretogof.statistics import statistic_rows
 
-    x, b = _null_rows_estimated(3.0, 20, reps, RandomStream(603, 0), 0, 1, reps, MLE)
+    stream = RandomStream(603, 0)
+    x, b = _rows_estimated(
+        lambda rows, off, step: pareto_rows(3.0, 20, len(rows), stream, off, step),
+        reps, 0, 1, reps, MLE, "null sampling",
+    )
     stats = statistic_rows([KS, MP2], x ** b[:, None], 1.0)
     for k in (KS, MP2):
         rate = float(np.mean(stats[k] > cv20.value(k, MLE, 20, 0.05)))

@@ -173,6 +173,28 @@ def test_power_table_parallel_matches_sequential(small_table):
         assert par.cells[key].power == cell.power
 
 
+def test_failed_cells_become_notes_at_every_job_count():
+    # a half-normal scale this small rounds every draw onto the support
+    # endpoint x = 1, so both of its cells give up after the bounded redraws
+    cfg = StudyConfig(
+        sample_sizes=(20,),
+        tests=(KS, MP2),
+        alternatives=(AlternativeSpec(Family.PARETO, 2.0),
+                      AlternativeSpec(Family.HALF_NORMAL, 1e-300)),
+        critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
+    )
+    serial = run_power_table(cfg, n=20, jobs=1)
+    parallel = run_power_table(cfg, n=20, jobs=2)
+    assert len(serial.cells) == 4
+    assert serial.cells.keys() == parallel.cells.keys()
+    for key, cell in serial.cells.items():
+        assert parallel.cells[key].power == cell.power
+    assert serial.notes == parallel.notes
+    assert len(serial.notes) == 2
+    assert all(note.startswith("HalfNormal(1e-300) / ") and "failed" in note
+               for note in serial.notes)
+
+
 def test_mme_cells_use_warp_speed_and_mle_cells_use_the_table(small_table):
     cfg, tab = small_table
     # the two routes share nothing, so their null cells are independent
