@@ -8,12 +8,23 @@ mean-matched Pareto with a shifted contaminant.
 All sampling goes through :class:`RandomStream`, a counter-based substream
 handle. Replication r of any simulation owns the substream ``stream.shifted(r)``,
 which makes parallel runs order-independent and bit-reproducible.
+
+Row blocks are drawn along one of two paths, and both give every row the
+variates of its own substream's ``generator()``:
+
+* the uniform-driven families (the Pareto null with a scalar or per-row shape,
+  LFR, BetaExp, TiltedPareto and Dhillon) are inverse transforms of uniforms,
+  so a single vectorised Philox4x64-10 kernel draws the uniforms of every row
+  at once and the transform maps the whole matrix;
+* the ziggurat families (gamma, Weibull, lognormal, half-normal), the
+  mixtures, and the rare row whose draw falls off the support use one
+  ``np.random.Generator`` per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,6 +82,65 @@ class RandomStream:
     def shifted(self, offset: int) -> "RandomStream":
         """Substream at ``stream_id + offset`` under the same seed."""
         return RandomStream(self.seed, self.stream_id + offset)
+
+
+# Philox4x64-10 (Salmon et al., SC'11) with numpy's constants and layout
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# kernel budget, in 64-bit words per pass over a block of rows
+_PHILOX_BLOCK = 1 << 16
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low words of the 128-bit product ``m * x``, from 32-bit halves.
+
+    No partial sum below can pass 2**64 - 1 (Warren, Hacker's Delight, 8-2).
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _U32
+    t = m_hi * x_lo
+    t += (m_lo * x_lo) >> _U32
+    w = m_lo * x_hi
+    w += t & _LO32
+    hi = m_hi * x_hi
+    hi += t >> _U32
+    hi += w >> _U32
+    return hi, x * np.uint64(m)
+
+
+def _philox_uniforms(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
+    """Row i is ``RandomStream(seed, ids[i]).generator().random(n)``, bit for bit.
+
+    ``ids`` is a uint64 array. Each row is keyed by the words
+    ``(ids[i], seed)``; its block counters run 1..ceil(n/4), and each
+    64-bit output word becomes the double ``(word >> 11) * 2**-53``. Rows are
+    drawn in passes of at most ``_PHILOX_BLOCK`` words.
+    """
+    blocks = -(-n // 4)
+    out = np.empty((ids.size, n), dtype=np.float64)
+    ctr = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    per_pass = max(1, _PHILOX_BLOCK // (4 * blocks))
+    for lo in range(0, ids.size, per_pass):
+        k0, k1 = ids[lo:lo + per_pass, None], seed
+        # broadcasting keeps the first two rounds at (rows + blocks) words
+        c0, c1, c2, c3 = ctr, zero, zero, zero
+        for i in range(_PHILOX_ROUNDS):
+            if i:
+                k0 = k0 + np.uint64(_PHILOX_W[0])
+                k1 = (k1 + _PHILOX_W[1]) & _MASK64
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        words = np.empty((k0.shape[0], blocks, 4), dtype=np.uint64)
+        for j, c in enumerate((c0, c1, c2, c3)):
+            words[:, :, j] = c
+        words = words.reshape(k0.shape[0], 4 * blocks)[:, :n] >> np.uint64(11)
+        np.multiply(words, 2.0 ** -53, out=out[lo:lo + per_pass])
+    return out
 
 
 class Sample:
@@ -258,11 +328,25 @@ def pareto_ppf(u, beta: float):
     return out if out.ndim else float(out)
 
 
-def _pareto_draw(beta: float):
-    def draw(g: np.random.Generator, n: int) -> np.ndarray:
-        return np.power(1.0 - g.random(n), -1.0 / beta)
+class _Quantile(NamedTuple):
+    """Inverse-transform sampler: a row is ``fn(u, param)`` of its uniforms ``u``.
 
-    return draw
+    ``param`` is one shape for every row, or a 1-D array with one per row.
+    """
+
+    fn: Callable
+    param: object
+
+    def __call__(self, u: np.ndarray, r: int | None = None) -> np.ndarray:
+        """Map the uniforms of every row, or of row ``r`` alone."""
+        param = self.param
+        if np.ndim(param):
+            param = param[:, None] if r is None else param[r]
+        return self.fn(u, param)
+
+
+def _pareto_quantile(u, beta):
+    return np.power(1.0 - u, -1.0 / beta)
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +389,44 @@ def alt_cdf(spec: AlternativeSpec, x):
     return out if out.ndim else float(out)
 
 
-def _alt_draw(spec: AlternativeSpec):
-    """Per-family sampler drawing ``n`` variates from a Generator.
+def _lfr_quantile(u, th):
+    load = -np.log1p(-u)
+    # stable root of theta*y**2/2 + y = load
+    return 1.0 + 2.0 * load / (1.0 + np.sqrt(1.0 + 2.0 * th * load))
 
-    Families with a closed-form quantile use inverse transform sampling on a
-    single block of uniforms; the remaining four use the standard library
-    generators and are shifted up by one unit.
+
+def _beta_exp_quantile(u, th):
+    return 1.0 - np.log1p(-np.power(u, 1.0 / th))
+
+
+def _tilted_pareto_quantile(u, th):
+    return (1.0 + th) / (1.0 - u) - th
+
+
+def _dhillon_quantile(u, th):
+    return np.exp(np.power(-np.log1p(-u), 1.0 / (th + 1.0)))
+
+
+_QUANTILES = {
+    Family.PARETO: _pareto_quantile,
+    Family.LINEAR_FAILURE_RATE: _lfr_quantile,
+    Family.BETA_EXPONENTIAL: _beta_exp_quantile,
+    Family.TILTED_PARETO: _tilted_pareto_quantile,
+    Family.DHILLON: _dhillon_quantile,
+}
+
+
+def _alt_draw(spec: AlternativeSpec):
+    """Per-family sampler.
+
+    Families with a closed-form quantile are a :class:`_Quantile` of the
+    row's uniforms; the remaining four draw ``n`` variates from a Generator
+    with the standard library samplers and are shifted up by one unit.
     """
     th = spec.theta
     fam = spec.family
-    if fam is Family.PARETO:
-        return _pareto_draw(th)
+    if fam in _QUANTILES:
+        return _Quantile(_QUANTILES[fam], th)
     if fam is Family.GAMMA:
         return lambda g, n: 1.0 + g.gamma(th, size=n)
     if fam is Family.WEIBULL:
@@ -324,18 +435,6 @@ def _alt_draw(spec: AlternativeSpec):
         return lambda g, n: 1.0 + g.lognormal(0.0, th, size=n)
     if fam is Family.HALF_NORMAL:
         return lambda g, n: 1.0 + np.abs(g.normal(0.0, th, size=n))
-    if fam is Family.LINEAR_FAILURE_RATE:
-        def draw_lfr(g, n):
-            load = -np.log1p(-g.random(n))
-            # stable root of theta*y**2/2 + y = load
-            return 1.0 + 2.0 * load / (1.0 + np.sqrt(1.0 + 2.0 * th * load))
-        return draw_lfr
-    if fam is Family.BETA_EXPONENTIAL:
-        return lambda g, n: 1.0 - np.log1p(-np.power(g.random(n), 1.0 / th))
-    if fam is Family.TILTED_PARETO:
-        return lambda g, n: (1.0 + th) / (1.0 - g.random(n)) - th
-    if fam is Family.DHILLON:
-        return lambda g, n: np.exp(np.power(-np.log1p(-g.random(n)), 1.0 / (th + 1.0)))
     raise ValueError(f"unhandled family {fam}")  # pragma: no cover
 
 
@@ -397,60 +496,82 @@ def mixture_cdf(spec: MixtureSpec, x):
 # Row-block sampling used by the simulation machinery
 
 
+def _on_support(x: np.ndarray):
+    """Per-row flag: every value of the row is finite and strictly above one."""
+    return np.all(np.isfinite(x) & (x > 1.0), axis=-1)
+
+
+def _redrawn(g: np.random.Generator, draw, n: int, substream: int) -> np.ndarray:
+    """Redraw one invalid row from ``g``, which continues the row's substream."""
+    for _ in range(_MAX_REDRAWS):
+        row = np.asarray(draw(g, n), dtype=np.float64)
+        if _on_support(row):
+            return row
+    raise DomainError(
+        f"substream {substream} produced no valid sample in {_MAX_REDRAWS} redraws"
+    )
+
+
 def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
-               draws) -> np.ndarray:
+               draw) -> np.ndarray:
     """Draw a (reps, n) matrix, row r from substream ``offset + step * r``.
 
-    ``draws`` yields one sampler per row, so rows may differ in their law; it
-    is consumed lazily, one row at a time.
+    ``draw`` is either a :class:`_Quantile`, whose per-row parameter lets rows
+    differ in their law, or a sampler ``draw(g, n)`` of the row's Generator.
+    A :class:`_Quantile` takes the batch path: :func:`_philox_uniforms` draws
+    the uniforms of every row at once and the quantile maps the whole matrix.
+    Any other sampler builds one Generator per row.
 
     Rows are validated against the support (finite, strictly above one).
     An invalid draw, which happens only when a uniform lands exactly on an
     endpoint, is redrawn by continuing the same substream so that every other
-    row is unaffected.
+    row is unaffected. On the batch path that row alone rebuilds its
+    Generator and skips the ``n`` uniforms the batch already used.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if reps < 1:
         raise ValueError("replication count must be at least 1")
-    out = np.empty((reps, n), dtype=np.float64)
-    for r, draw in zip(range(reps), draws):
-        g = stream.shifted(offset + step * r).generator()
-        row = np.asarray(draw(g, n), dtype=np.float64)
-        tries = 0
-        while not (np.all(np.isfinite(row)) and np.all(row > 1.0)):
-            tries += 1
-            if tries > _MAX_REDRAWS:
-                raise DomainError(
-                    f"substream {offset + step * r} produced no valid sample in "
-                    f"{_MAX_REDRAWS} redraws"
-                )
+    if not isinstance(draw, _Quantile):
+        out = np.empty((reps, n), dtype=np.float64)
+        for r in range(reps):
+            g = stream.shifted(offset + step * r).generator()
             row = np.asarray(draw(g, n), dtype=np.float64)
-        out[r] = row
+            out[r] = row if _on_support(row) else _redrawn(g, draw, n, offset + step * r)
+        return out
+    # the ids run from one end to the other, so checking both ends checks all
+    stream.shifted(offset), stream.shifted(offset + step * (reps - 1))
+    ids = (np.uint64(stream.stream_id + offset)
+           + np.uint64(step & _MASK64) * np.arange(reps, dtype=np.uint64))
+    out = draw(_philox_uniforms(stream.seed, ids, n))
+    for r in np.flatnonzero(~_on_support(out)).tolist():
+        g = stream.shifted(offset + step * r).generator()
+        g.random(n)
+        out[r] = _redrawn(g, lambda g, n: draw(g.random(n), r), n, offset + step * r)
     return out
 
 
 def pareto_sample(beta: float, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from the Pareto model by inverse transform."""
     beta = _check_beta(beta)
-    return Sample(_fill_rows(n, 1, stream, 0, 1, [_pareto_draw(beta)])[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, _Quantile(_pareto_quantile, beta))[0])
 
 
 def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
                 offset: int = 0, step: int = 1) -> np.ndarray:
     """(reps, n) matrix of null samples; row r uses substream offset + step*r."""
     beta = _check_beta(beta)
-    return _fill_rows(n, reps, stream, offset, step, repeat(_pareto_draw(beta)))
+    return _fill_rows(n, reps, stream, offset, step, _Quantile(_pareto_quantile, beta))
 
 
 def alt_sample(spec: AlternativeSpec, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from one alternative family."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, [_alt_draw(spec)])[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, _alt_draw(spec))[0])
 
 
 def mixture_sample(spec: MixtureSpec, n: int, stream: RandomStream) -> Sample:
     """Draw ``n`` variates from a contaminated Pareto mixture."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, [_mixture_draw(spec)])[0])
+    return Sample(_fill_rows(n, 1, stream, 0, 1, _mixture_draw(spec))[0])
 
 
 def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
@@ -462,7 +583,7 @@ def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
         draw = _alt_draw(spec)
     else:
         raise TypeError(f"expected AlternativeSpec or MixtureSpec, got {type(spec).__name__}")
-    return _fill_rows(n, reps, stream, offset, step, repeat(draw))
+    return _fill_rows(n, reps, stream, offset, step, draw)
 
 
 def bootstrap_rows(betas: np.ndarray, n: int, stream: RandomStream,
@@ -477,4 +598,4 @@ def bootstrap_rows(betas: np.ndarray, n: int, stream: RandomStream,
         raise ValueError("betas must be one-dimensional")
     if np.any(~np.isfinite(betas)) or np.any(betas <= 0):
         raise DomainError("bootstrap shapes must be positive and finite")
-    return _fill_rows(n, betas.size, stream, offset, step, map(_pareto_draw, betas))
+    return _fill_rows(n, betas.size, stream, offset, step, _Quantile(_pareto_quantile, betas))

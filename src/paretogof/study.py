@@ -32,6 +32,7 @@ from .distributions import (
 )
 from .estimation import EstimatorMethod
 from .inference import (
+    _MAX_RETRIES,
     DEFAULT_ALPHAS,
     CriticalValueTable,
     PowerEstimate,
@@ -117,7 +118,7 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
-        object.__setattr__(self, "tests", tuple(self.tests))
+        object.__setattr__(self, "tests", tuple(_unique_kinds(self.tests)))
         object.__setattr__(
             self, "estimators", tuple(EstimatorMethod(e) for e in self.estimators)
         )
@@ -135,6 +136,15 @@ class StudyConfig:
                 )
         if not self.tests or not self.estimators or not self.alternatives:
             raise ValueError("tests, estimators and alternatives must be non-empty")
+        # substreams a route reaches per cell: its rows plus _MAX_RETRIES
+        # estimator retries per row, for both halves of a warp-speed cell
+        for name, per_rep in (("critical", 1 + _MAX_RETRIES),
+                              ("power", 1 + _MAX_RETRIES),
+                              ("warp", 2 + 2 * _MAX_RETRIES)):
+            if per_rep * self.scaled_reps(name) > _CELL_STRIDE:
+                raise ValueError(
+                    f"{name} replications overrun the 2**32 substreams of a cell"
+                )
         RandomStream(self.master_seed)  # rejects a seed outside [0, 2**64)
 
     def scaled_reps(self, which: str) -> int:

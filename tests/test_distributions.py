@@ -21,7 +21,9 @@ from paretogof import (
 )
 from paretogof.distributions import (
     _MASK64,
+    _MAX_REDRAWS,
     _fill_rows,
+    _philox_uniforms,
     alternative_rows,
     bootstrap_rows,
     pareto_rows,
@@ -326,7 +328,7 @@ def test_fill_rows_retries_within_the_same_substream():
             return np.full(n, 1.0)  # invalid: sits on the support endpoint
         return np.full(n, 2.0) + g.random(n)
 
-    out = _fill_rows(4, 1, RandomStream(1, 0), 0, 1, [draw])
+    out = _fill_rows(4, 1, RandomStream(1, 0), 0, 1, draw)
     assert calls["count"] == 3
     assert np.all(out > 1.0)
 
@@ -336,4 +338,122 @@ def test_fill_rows_gives_up_after_bounded_retries():
         return np.full(n, np.inf)
 
     with pytest.raises(DomainError, match="redraws"):
-        _fill_rows(4, 1, RandomStream(1, 0), 0, 1, [always_bad])
+        _fill_rows(4, 1, RandomStream(1, 0), 0, 1, always_bad)
+
+
+# ---------------------------------------------------------------------------
+# Batch Philox kernel against the per-row generator
+
+
+def _generator_rows(seed, ids, n):
+    return np.array([RandomStream(seed, int(i)).generator().random(n) for i in ids])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 20, 30, 1000])
+def test_philox_uniforms_match_the_generator_bit_for_bit(n):
+    top = _MASK64
+    id_sets = [
+        np.arange(7, 7 + 2 * 40, 2, dtype=np.uint64),  # offset 7, step 2
+        np.array([0, 1, top - 1, top, 1 << 63, 123456789], dtype=np.uint64),
+    ]
+    for seed in (0, 271828, top):
+        for ids in id_sets:
+            got = _philox_uniforms(seed, ids, n)
+            assert got.shape == (ids.size, n) and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, _generator_rows(seed, ids, n))
+
+
+def test_philox_uniforms_span_several_kernel_passes(monkeypatch):
+    import paretogof.distributions as dist
+
+    ids = np.arange(50, 150, dtype=np.uint64)
+    monkeypatch.setattr(dist, "_PHILOX_BLOCK", 64)  # four rows of n = 13 per pass
+    np.testing.assert_array_equal(_philox_uniforms(9, ids, 13), _generator_rows(9, ids, 13))
+
+
+# The per-row generator formulas the uniform-driven families used before the
+# batch kernel; each family must reproduce them row for row.
+def _lfr_per_row(u, th):
+    load = -np.log1p(-u)
+    return 1.0 + 2.0 * load / (1.0 + np.sqrt(1.0 + 2.0 * th * load))
+
+
+_PER_ROW_DRAWS = {
+    Family.PARETO: lambda u, th: np.power(1.0 - u, -1.0 / th),
+    Family.LINEAR_FAILURE_RATE: _lfr_per_row,
+    Family.BETA_EXPONENTIAL: lambda u, th: 1.0 - np.log1p(-np.power(u, 1.0 / th)),
+    Family.TILTED_PARETO: lambda u, th: (1.0 + th) / (1.0 - u) - th,
+    Family.DHILLON: lambda u, th: np.exp(np.power(-np.log1p(-u), 1.0 / (th + 1.0))),
+}
+
+
+@pytest.mark.parametrize("family", list(_PER_ROW_DRAWS), ids=lambda f: f.value)
+@pytest.mark.parametrize("theta", [0.4, 1, 2.5])
+def test_uniform_driven_families_match_the_per_row_generator(family, theta):
+    stream, reps, n = RandomStream(51, 1000), 300, 28
+    rows = alternative_rows(AlternativeSpec(family, theta), n, reps, stream, 5, 2)
+    expect = np.array([
+        _PER_ROW_DRAWS[family](stream.shifted(5 + 2 * r).generator().random(n), theta)
+        for r in range(reps)
+    ])
+    np.testing.assert_array_equal(rows, expect)
+
+
+def test_bootstrap_rows_match_the_per_row_generator():
+    stream, n = RandomStream(52, 3), 20
+    betas = np.exp(np.random.default_rng(3).normal(0.0, 1.5, 300))
+    rows = bootstrap_rows(betas, n, stream, 1, 2)
+    for r, b in enumerate(betas):
+        u = stream.shifted(1 + 2 * r).generator().random(n)
+        np.testing.assert_array_equal(rows[r], np.power(1.0 - u, -1.0 / b))
+
+
+def _hand_driven_row(stream, beta, n):
+    """The row a per-row generator gives, and how many redraws it took."""
+    g = stream.generator()
+    for redraws in range(_MAX_REDRAWS + 1):
+        row = np.power(1.0 - g.random(n), -1.0 / beta)
+        if np.all(row > 1.0):
+            return row, redraws
+    return None, redraws + 1
+
+
+def test_row_off_the_support_continues_its_own_substream():
+    # at beta = 1e15 any uniform below about 0.1 maps exactly onto x = 1, so
+    # roughly a fifth of the n = 2 rows fail their first draw
+    stream, n = RandomStream(53, 0), 2
+    betas = np.where(np.arange(200) % 2 == 0, 1e15, 2.0)
+    rows = bootstrap_rows(betas, n, stream, 3, 2)
+    redrawn = 0
+    for r, b in enumerate(betas):
+        row, redraws = _hand_driven_row(stream.shifted(3 + 2 * r), b, n)
+        np.testing.assert_array_equal(rows[r], row)
+        redrawn += redraws > 0
+    assert redrawn >= 10
+
+
+def test_redraw_budget_starts_after_the_batch_uniforms():
+    # at beta = 5e15 a uniform below about 0.43 maps onto x = 1. A row that
+    # needs all ten redraws only succeeds if its first redraw skips the n
+    # uniforms of the batch draw; replaying them would spend one redraw.
+    stream, beta, n = RandomStream(54, 0), 5e15, 4
+    ids = [r for r in range(400)
+           if _hand_driven_row(stream.shifted(r), beta, n)[1] == _MAX_REDRAWS]
+    assert ids
+    for r in ids:
+        row, _ = _hand_driven_row(stream.shifted(r), beta, n)
+        np.testing.assert_array_equal(bootstrap_rows(np.array([beta]), n, stream, r)[0], row)
+
+
+def test_row_blocks_refuse_ids_past_64_bits():
+    top = _MASK64
+    # the last row sits exactly on the top id and still draws
+    edge = pareto_rows(1.0, 5, 4, RandomStream(1, top - 6), 0, 2)
+    np.testing.assert_array_equal(
+        edge[-1], np.power(1.0 - RandomStream(1, top).generator().random(5), -1.0))
+    with pytest.raises(ValueError, match="stream_id"):
+        pareto_rows(1.0, 5, 4, RandomStream(1, top - 5), 0, 2)
+    with pytest.raises(ValueError, match="stream_id"):
+        bootstrap_rows(np.ones(3), 5, RandomStream(1, top - 1))
+    with pytest.raises(ValueError, match="stream_id"):
+        alternative_rows(AlternativeSpec(Family.DHILLON, 0.4), 5, 2, RandomStream(1, 1), -2)

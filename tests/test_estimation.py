@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from paretogof import (
     DomainError,
@@ -89,8 +89,13 @@ def test_pivotal_transform_is_invariant_to_powering(seed, n, beta, power):
     # so the transformed sample is unchanged. This is the exact mechanism that
     # frees the MLE route's null distribution from the unknown shape.
     x = pareto_sample(beta, n, RandomStream(seed, 0)).values
+    # the property holds where the powered sample is finite; near beta = 0.05
+    # the sample maximum reaches about 1e62, and x**5 overflows to inf
+    with np.errstate(over="ignore"):
+        powered = np.power(x, power)
+    assume(np.all(np.isfinite(powered)))
     y1 = pivotal_transform(Sample(x)).values
-    y2 = pivotal_transform(Sample(np.power(x, power))).values
+    y2 = pivotal_transform(Sample(powered)).values
     np.testing.assert_allclose(y2, y1, rtol=1e-10)
 
 

@@ -115,6 +115,33 @@ def test_config_coerces_sequences():
     assert cfg.estimators == (MME,)
 
 
+def test_config_coerces_string_kinds_and_drops_repeats():
+    common = dict(
+        sample_sizes=(20,),
+        alternatives=(AlternativeSpec(Family.GAMMA, 1.2),),
+        critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
+    )
+    typed = StudyConfig(tests=(KS, MP2), **common)
+    loose = StudyConfig(tests=("KS", MP2, "MP2", KS), **common)
+    assert loose.tests == typed.tests == (KS, MP2)
+    a, b = run_power_table(typed, n=20), run_power_table(loose, n=20)
+    assert not a.notes and not b.notes
+    assert render_table(a, "csv") == render_table(b, "csv")
+
+
+def test_config_refuses_replications_that_overrun_a_cell_block():
+    # a warp-speed cell reaches (2 + 2 * 10) substreams per replication,
+    # the tabulated routes (1 + 10), and a cell block holds 2**32
+    StudyConfig(warp_reps=(1 << 32) // 22, desk_scale=1.0)
+    StudyConfig(critical_reps=(1 << 32) // 11, power_reps=(1 << 32) // 11,
+                desk_scale=1.0)
+    for name, reps in (("warp", (1 << 32) // 22 + 1),
+                       ("critical", (1 << 32) // 11 + 1),
+                       ("power", (1 << 32) // 11 + 1)):
+        with pytest.raises(ValueError, match=f"{name} replications overrun"):
+            StudyConfig(desk_scale=1.0, **{f"{name}_reps": reps})
+
+
 # ---------------------------------------------------------------------------
 # stream layout
 
