@@ -53,14 +53,11 @@ __all__ = [
     "za",
     "mellin_g",
     "exp_edf_suite",
-    "mellin_integrals",
     "order_weights",
     "statistic_rows",
 ]
 
 _CLAMP_EPS = 1e-15
-# pairwise-table budget for the Mellin statistic, in float64 elements per block
-_MELLIN_BLOCK = 2_000_000
 
 
 class TestTag(str, Enum):
@@ -252,43 +249,30 @@ def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return 10.0 / 9.0 - t1 - t2 - t3
 
 
-def mellin_integrals(c, log_x=0.0):
-    """Moment integrals against an exponential weight.
-
-    Returns the triple ``I_m = ∫_0^∞ (t - 1)^m exp(-(c + log_x) t) dt`` for
-    m = 0, 1, 2, the three building blocks of the Mellin statistic. With
-    ``log_x = 0`` these are 1/c, (1-c)/c^2 and (2 - 2c + c^2)/c^3. The
-    combined constant must be positive.
-    """
-    cc = np.asarray(c, dtype=np.float64) + np.asarray(log_x, dtype=np.float64)
-    if np.any(cc <= 0.0):
-        raise DomainError("weight constant plus log argument must be positive")
-    i0 = 1.0 / cc
-    i1 = (1.0 - cc) / cc**2
-    i2 = (2.0 - 2.0 * cc + cc * cc) / cc**3
-    if cc.ndim == 0:
-        return float(i0), float(i1), float(i2)
-    return i0, i1, i2
-
-
 def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
-    """The G statistic row-wise, weight exp(-(1 + a) t), in O(n^2) per row."""
-    m, n = x.shape
+    """The G statistic row-wise, by the closed form in :func:`mellin_g`.
+
+    The pair sum runs over j <= k one column j at a time, so each pass
+    holds one (rows, n - j) slab and no (rows, n, n) table is built.
+    """
+    n = x.shape[1]
     lx = np.log(x)
     c = 1.0 + a
-    j0, j1, _ = mellin_integrals(c, lx)
-    J0 = j0.sum(axis=1)
-    J1 = j1.sum(axis=1)
-    single = beta * (n * beta / c - 2.0 * (beta + 1.0) * J0 - 2.0 * J1)
-    bp1 = beta + 1.0
-    paired = np.empty(m, dtype=np.float64)
-    block = max(1, _MELLIN_BLOCK // (n * n))
-    for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        i0, i1, i2 = mellin_integrals(c, lx[lo:hi, :, None] + lx[lo:hi, None, :])
-        w = bp1[lo:hi, None, None]
-        paired[lo:hi] = (w * w * i0 + i2 + 2.0 * w * i1).sum(axis=(1, 2))
-    return paired / n + single
+    if np.any(c + 2.0 * lx.min(axis=1) <= 0.0):
+        raise DomainError("1 + a + log x_j + log x_k must be positive for every pair")
+    b = beta[:, None]
+    b2 = b * b
+
+    def h(s):
+        u = 1.0 / s
+        return u * (b2 + u * (2.0 * b + 2.0 * u))
+
+    r = c + lx
+    paired = h(r + lx).sum(axis=1)
+    for j in range(n - 1):
+        paired += 2.0 * h(r[:, j, None] + lx[:, j + 1:]).sum(axis=1)
+    single = 2.0 * beta * (b / r + 1.0 / (r * r)).sum(axis=1)
+    return paired / n - single + n * beta * beta / c
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +435,15 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
 
     Measures n ∫ ((β + t) M_n(t) - β)² w(t) dt where M_n(t) is the empirical
     Mellin transform (1/n) Σ X_j^(-t); under the model the population version
-    of (β + t) M(t) is the constant β. Expanding the square gives pairwise
-    terms in the integrals of :func:`mellin_integrals`, so the cost is O(n²).
+    of (β + t) M(t) is the constant β. Expanding the square gives, with
+    c = 1 + a, r_j = c + log X_j and h(s) = ∫ (β + t)² exp(-s t) dt
+    = β²/s + 2β/s² + 2/s³,
+
+        G = (1/n) Σ_jk h(r_j + log X_k) - 2β Σ_j (β/r_j + 1/r_j²) + nβ²/c.
+
+    The pair sum is symmetric, so it is evaluated over j <= k only, the
+    off-diagonal pairs counted twice: about n²/2 terms, O(n²) per sample.
+    Every c + log X_j + log X_k must be positive.
     """
     kind = MELLIN_G if a == 1.0 else TestKind(TestTag.MELLIN_G, a)
     return _single_pareto(kind, sample, beta)
