@@ -50,19 +50,15 @@ class ShapeEstimate:
 def estimate_mle(sample) -> ShapeEstimate:
     """Maximum likelihood estimate n / sum(log x_j)."""
     sample = _as_sample(sample)
-    total = float(np.sum(np.log(sample.values)))
-    if total <= 0.0:  # impossible on the validated support, kept as a guard
-        raise DomainError("log-sum of the sample must be positive")
-    return ShapeEstimate(sample.n / total, EstimatorMethod.MLE, sample.n)
+    return ShapeEstimate(float(mle_rows(sample.values[None, :])[0]),
+                         EstimatorMethod.MLE, sample.n)
 
 
 def estimate_mme(sample) -> ShapeEstimate:
     """Moment estimate mean/(mean - 1), from matching the model mean."""
     sample = _as_sample(sample)
-    mean = float(np.mean(sample.values))
-    if mean <= 1.0:  # impossible on the validated support, kept as a guard
-        raise DomainError("sample mean must exceed 1")
-    return ShapeEstimate(mean / (mean - 1.0), EstimatorMethod.MME, sample.n)
+    return ShapeEstimate(float(mme_rows(sample.values[None, :])[0]),
+                         EstimatorMethod.MME, sample.n)
 
 
 def estimate_shape(sample, method: EstimatorMethod) -> ShapeEstimate:

@@ -26,6 +26,13 @@ pooled quantile) for either estimator.
 Replication ``r`` of any loop owns a fixed substream of the supplied
 :class:`~paretogof.distributions.RandomStream`, so results are reproducible
 bit for bit regardless of execution order or worker count.
+
+No row is ever redrawn because its shape estimate is degenerate. A
+non-finite or non-positive estimate reaches the check of whatever consumes
+it (the bootstrap sampler, the statistics' shape check, or
+:class:`~paretogof.estimation.ShapeEstimate`), which raises
+:class:`~paretogof.distributions.DomainError`; a power study records such a
+cell as failed.
 """
 from __future__ import annotations
 
@@ -68,7 +75,6 @@ __all__ = [
     "bootstrap_pvalue_many",
 ]
 
-_MAX_RETRIES = 10
 _TABLE_FORMAT = "paretogof-critical-values v1"
 _TABLE_COLUMNS = ["kind", "estimator", "n", "alpha", "reps", "seed", "value"]
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
@@ -109,6 +115,22 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 # evaluation conventions
 
 
+def _est_fn(estimator: EstimatorMethod):
+    return mle_rows if estimator is EstimatorMethod.MLE else mme_rows
+
+
+# Estimates are used as computed: on rows on the support (finite, > 1) the
+# MLE is finite and positive, and a non-finite or non-positive MME raises
+# DomainError in bootstrap_rows or in the statistics' shape check.
+def _decision_stats(kinds, x: np.ndarray, b: np.ndarray, estimator: EstimatorMethod):
+    """Statistics that decisions compare, for rows ``x`` with estimates ``b``:
+    the pivotal transform at shape one on the MLE route, the plug-in value on
+    the MME route."""
+    if estimator is EstimatorMethod.MLE:
+        return statistic_rows(kinds, x ** b[:, None], 1.0)
+    return statistic_rows(kinds, x, b)
+
+
 def pivotal_statistic_rows(kinds, x: np.ndarray):
     """Statistics under the MLE convention for each row of ``x``.
 
@@ -119,8 +141,7 @@ def pivotal_statistic_rows(kinds, x: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     b = mle_rows(x)
-    y = x ** b[:, None]
-    return statistic_rows(kinds, y, 1.0), b
+    return _decision_stats(kinds, x, b, EstimatorMethod.MLE), b
 
 
 def plugin_statistic_rows(kinds, x: np.ndarray, estimator: EstimatorMethod):
@@ -131,52 +152,8 @@ def plugin_statistic_rows(kinds, x: np.ndarray, estimator: EstimatorMethod):
     """
     estimator = EstimatorMethod(estimator)
     x = np.asarray(x, dtype=np.float64)
-    b = mle_rows(x) if estimator is EstimatorMethod.MLE else mme_rows(x)
+    b = _est_fn(estimator)(x)
     return statistic_rows(kinds, x, b), b
-
-
-def _est_fn(estimator: EstimatorMethod):
-    return mle_rows if estimator is EstimatorMethod.MLE else mme_rows
-
-
-def _bad_estimates(b: np.ndarray) -> np.ndarray:
-    return ~np.isfinite(b) | (b <= 0.0)
-
-
-def _redraw_bad(x, b, est_fn, redraw_row, context: str) -> None:
-    """Replace rows whose estimate is degenerate, drawing each retry from a
-    dedicated substream so untouched rows stay identical."""
-    bad = _bad_estimates(b)
-    t = 0
-    while bad.any():
-        if t >= _MAX_RETRIES:
-            raise DomainError(
-                f"{context}: estimator still degenerate after {_MAX_RETRIES} redraws"
-            )
-        idx = np.nonzero(bad)[0]
-        for r in idx:
-            x[r] = redraw_row(int(r), t)
-        b[idx] = est_fn(x[idx])
-        bad = _bad_estimates(b)
-        t += 1
-
-
-def _rows_estimated(draw, reps, offset, step, retry_base, estimator, context: str):
-    """Draw ``reps`` rows and estimate each row's shape, redrawing degenerate ones.
-
-    ``draw(rows, offset, step)`` returns the rows in the ``range`` ``rows``,
-    row r from substream ``offset + step * r``. Retry t of row r draws from
-    substream ``retry_base + _MAX_RETRIES * r + t``.
-    """
-    est_fn = _est_fn(estimator)
-    x = draw(range(reps), offset, step)
-    b = est_fn(x)
-
-    def redraw(r, t):
-        return draw(range(r, r + 1), retry_base + _MAX_RETRIES * r + t, 1)[0]
-
-    _redraw_bad(x, b, est_fn, redraw, context)
-    return x, b
 
 
 def _as_kinds(kinds):
@@ -301,10 +278,8 @@ def null_critical_values(kinds, n: int, alphas, reps: int,
     if reps < 1000:
         raise ValueError("critical-value simulation needs reps >= 1000")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
-    x, b = _rows_estimated(
-        lambda rows, offset, step: pareto_rows(1.0, n, len(rows), stream, offset, step),
-        reps, 0, 1, reps, EstimatorMethod.MLE, "null sampling")
-    stats = statistic_rows(kinds, x ** b[:, None], 1.0)
+    x = pareto_rows(1.0, n, reps, stream)
+    stats = _decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE)
     table = CriticalValueTable(reps=reps, seed=stream.seed)
     for kind in kinds:
         for alpha in alphas:
@@ -409,10 +384,8 @@ def power_fixed_critical_many(kinds, alt, n: int, alpha: float, reps: int,
     if reps < 1:
         raise ValueError("reps must be at least 1")
     crit = {k: cv_table.value(k, EstimatorMethod.MLE, n, alpha) for k in kinds}
-    x, b = _rows_estimated(
-        lambda rows, offset, step: alternative_rows(alt, n, len(rows), stream, offset, step),
-        reps, 0, 1, reps, EstimatorMethod.MLE, "alternative sampling")
-    stats = statistic_rows(kinds, x ** b[:, None], 1.0)
+    x = alternative_rows(alt, n, reps, stream)
+    stats = _decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE)
     return {
         k: PowerEstimate(alt, k, EstimatorMethod.MLE, n, alpha,
                          float(np.mean(stats[k] > crit[k])), reps, stream.seed)
@@ -446,18 +419,12 @@ def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int
     if reps < 2:
         raise ValueError("warp-speed estimation needs at least 2 replications")
 
-    x, b = _rows_estimated(
-        lambda rows, offset, step: alternative_rows(alt, n, len(rows), stream, offset, step),
-        reps, 0, 2, 2 * reps, estimator, "alternative sampling")
-    xb, bb = _rows_estimated(
-        lambda rows, offset, step: bootstrap_rows(b[rows], n, stream, offset, step),
-        reps, 1, 2, (2 + _MAX_RETRIES) * reps, estimator, "bootstrap sampling")
-    if estimator is EstimatorMethod.MLE:
-        stats = statistic_rows(kinds, x ** b[:, None], 1.0)
-        boot = statistic_rows(kinds, xb ** bb[:, None], 1.0)
-    else:
-        stats = statistic_rows(kinds, x, b)
-        boot = statistic_rows(kinds, xb, bb)
+    est_fn = _est_fn(estimator)
+    x = alternative_rows(alt, n, reps, stream, 0, 2)
+    b = est_fn(x)
+    xb = bootstrap_rows(b, n, stream, 1, 2)
+    stats = _decision_stats(kinds, x, b, estimator)
+    boot = _decision_stats(kinds, xb, est_fn(xb), estimator)
     out = {}
     for k in kinds:
         crit = upper_quantile(boot[k], alpha)
@@ -494,18 +461,13 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
     sample = _as_sample(sample)
     est = estimate_shape(sample, estimator)
-    obs_display, _ = plugin_statistic_rows(kinds, sample.values[None, :], estimator)
+    x, b = sample.values[None, :], np.full(1, est.value)
+    obs_display = statistic_rows(kinds, x, b)
+    obs_decision = (obs_display if estimator is EstimatorMethod.MME
+                    else _decision_stats(kinds, x, b, estimator))
 
-    betas = np.full(B, est.value)
-    xb, bb = _rows_estimated(
-        lambda rows, offset, step: bootstrap_rows(betas[rows], sample.n, stream, offset, step),
-        B, 0, 1, B, estimator, "bootstrap sampling")
-    if estimator is EstimatorMethod.MLE:
-        obs_decision, _ = pivotal_statistic_rows(kinds, sample.values[None, :])
-        boot = statistic_rows(kinds, xb ** bb[:, None], 1.0)
-    else:
-        obs_decision = obs_display
-        boot = statistic_rows(kinds, xb, bb)
+    xb = bootstrap_rows(np.full(B, est.value), sample.n, stream)
+    boot = _decision_stats(kinds, xb, _est_fn(estimator)(xb), estimator)
 
     results = []
     for k in kinds:

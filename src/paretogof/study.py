@@ -32,7 +32,6 @@ from .distributions import (
 )
 from .estimation import EstimatorMethod
 from .inference import (
-    _MAX_RETRIES,
     DEFAULT_ALPHAS,
     CriticalValueTable,
     PowerEstimate,
@@ -136,11 +135,9 @@ class StudyConfig:
                 )
         if not self.tests or not self.estimators or not self.alternatives:
             raise ValueError("tests, estimators and alternatives must be non-empty")
-        # substreams a route reaches per cell: its rows plus _MAX_RETRIES
-        # estimator retries per row, for both halves of a warp-speed cell
-        for name, per_rep in (("critical", 1 + _MAX_RETRIES),
-                              ("power", 1 + _MAX_RETRIES),
-                              ("warp", 2 + 2 * _MAX_RETRIES)):
+        # substreams a route reaches per cell: one per replication, two for
+        # the interleaved alternative and bootstrap rows of a warp-speed cell
+        for name, per_rep in (("critical", 1), ("power", 1), ("warp", 2)):
             if per_rep * self.scaled_reps(name) > _CELL_STRIDE:
                 raise ValueError(
                     f"{name} replications overrun the 2**32 substreams of a cell"

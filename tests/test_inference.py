@@ -10,6 +10,7 @@ from paretogof import (
     AlternativeSpec,
     ConfigurationError,
     CriticalValueTable,
+    DomainError,
     EXP_KINDS,
     EstimatorMethod,
     Family,
@@ -18,6 +19,7 @@ from paretogof import (
     MP2,
     PARETO_KINDS,
     RandomStream,
+    StudyConfig,
     UnsupportedPathError,
     bootstrap_pvalue,
     bootstrap_pvalue_many,
@@ -25,10 +27,13 @@ from paretogof import (
     null_critical_values,
     pareto_sample,
     power_fixed_critical,
+    run_power_table,
     upper_quantile,
     warp_speed_power,
 )
+from paretogof import inference
 from paretogof.distributions import pareto_rows
+from paretogof.estimation import mle_rows
 from paretogof.inference import (
     DEFAULT_ALPHAS,
     pivotal_statistic_rows,
@@ -36,6 +41,7 @@ from paretogof.inference import (
     power_fixed_critical_many,
     warp_speed_power_many,
 )
+from paretogof.statistics import statistic_rows
 
 MME = EstimatorMethod.MME
 MLE = EstimatorMethod.MLE
@@ -208,16 +214,8 @@ def test_critical_values_are_seed_stable(cv20):
     # nearby order statistics, and the band is six of those
     reps = 20_000
     other = null_critical_values(ALL_KINDS, 20, [0.05], reps, RandomStream(987654321, 5))
-    x, b = (None, None)
-    from paretogof.inference import _rows_estimated
-    from paretogof.statistics import statistic_rows
-
-    stream = RandomStream(987654321, 5)
-    x, b = _rows_estimated(
-        lambda rows, off, step: pareto_rows(1.0, 20, len(rows), stream, off, step),
-        reps, 0, 1, reps, MLE, "null sampling",
-    )
-    stats = statistic_rows(ALL_KINDS, x ** b[:, None], 1.0)
+    x = pareto_rows(1.0, 20, reps, RandomStream(987654321, 5), 0, 1)
+    stats = statistic_rows(ALL_KINDS, x ** mle_rows(x)[:, None], 1.0)
     for k in ALL_KINDS:
         pool = np.sort(stats[k])
         kidx = math.ceil(0.95 * reps) - 1
@@ -234,16 +232,8 @@ def test_size_is_controlled_on_fresh_null_draws(cv20):
     # quick two-kind sanity at modest replication; the acceptance suite runs
     # the full grid at 10^4
     reps = 4000
-    x, b = (None, None)
-    from paretogof.inference import _rows_estimated
-    from paretogof.statistics import statistic_rows
-
-    stream = RandomStream(603, 0)
-    x, b = _rows_estimated(
-        lambda rows, off, step: pareto_rows(3.0, 20, len(rows), stream, off, step),
-        reps, 0, 1, reps, MLE, "null sampling",
-    )
-    stats = statistic_rows([KS, MP2], x ** b[:, None], 1.0)
+    x = pareto_rows(3.0, 20, reps, RandomStream(603, 0), 0, 1)
+    stats = statistic_rows([KS, MP2], x ** mle_rows(x)[:, None], 1.0)
     for k in (KS, MP2):
         rate = float(np.mean(stats[k] > cv20.value(k, MLE, 20, 0.05)))
         assert rate == pytest.approx(0.05, abs=0.015)
@@ -380,3 +370,32 @@ def test_bootstrap_shares_the_pool_across_kinds():
     many = bootstrap_pvalue_many([KS, MP2], MME, s, 300, RandomStream(606, 14))
     solo = bootstrap_pvalue(KS, MME, s, 300, RandomStream(606, 14))
     assert many[0].p_value == solo.p_value
+
+
+# ---------------------------------------------------------------------------
+# degenerate estimates
+
+
+def test_degenerate_moment_estimates_raise_and_fail_the_cell(monkeypatch):
+    # no row is redrawn: a NaN estimate reaches the check of its consumer
+    real = inference.mme_rows
+
+    def nan_first(x):
+        b = real(x)
+        b[0] = np.nan
+        return b
+
+    monkeypatch.setattr(inference, "mme_rows", nan_first)
+    with pytest.raises(DomainError):
+        warp_speed_power_many([KS], MME, GAMMA12, 20, 0.05, 100, RandomStream(607, 0))
+    s = pareto_sample(2.0, 20, RandomStream(607, 1))
+    with pytest.raises(DomainError):
+        bootstrap_pvalue_many([KS], MME, s, 100, RandomStream(607, 2))
+    cfg = StudyConfig(
+        sample_sizes=(20,), tests=(KS,), estimators=(MME,), alternatives=(GAMMA12,),
+        critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
+    )
+    table = run_power_table(cfg, n=20, jobs=1)
+    assert not table.cells
+    assert len(table.notes) == 1
+    assert table.notes[0].startswith("Gamma(1.2) / mme: failed")

@@ -130,14 +130,13 @@ def test_config_coerces_string_kinds_and_drops_repeats():
 
 
 def test_config_refuses_replications_that_overrun_a_cell_block():
-    # a warp-speed cell reaches (2 + 2 * 10) substreams per replication,
-    # the tabulated routes (1 + 10), and a cell block holds 2**32
-    StudyConfig(warp_reps=(1 << 32) // 22, desk_scale=1.0)
-    StudyConfig(critical_reps=(1 << 32) // 11, power_reps=(1 << 32) // 11,
-                desk_scale=1.0)
-    for name, reps in (("warp", (1 << 32) // 22 + 1),
-                       ("critical", (1 << 32) // 11 + 1),
-                       ("power", (1 << 32) // 11 + 1)):
+    # a warp-speed cell reaches 2 substreams per replication, the tabulated
+    # routes 1, and a cell block holds 2**32
+    StudyConfig(warp_reps=1 << 31, desk_scale=1.0)
+    StudyConfig(critical_reps=1 << 32, power_reps=1 << 32, desk_scale=1.0)
+    for name, reps in (("warp", (1 << 31) + 1),
+                       ("critical", (1 << 32) + 1),
+                       ("power", (1 << 32) + 1)):
         with pytest.raises(ValueError, match=f"{name} replications overrun"):
             StudyConfig(desk_scale=1.0, **{f"{name}_reps": reps})
 
