@@ -1,12 +1,17 @@
 """Statistic kernels: closed-form limits, independent oracles, and invariances."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+import paretogof
 from paretogof import (
     AD,
     ALL_KINDS,
@@ -38,6 +43,8 @@ from paretogof import (
     pivotal_transform,
     za,
 )
+from paretogof.distributions import pareto_rows
+from paretogof.estimation import mle_rows
 from paretogof.statistics import exp_edf_suite, order_weights, statistic_rows
 from oracles import mellin_g_by_integral, mp1_by_quadrature, mp2_by_quadrature
 
@@ -254,6 +261,34 @@ def test_mellin_g_working_memory_is_bounded_by_the_input(shape):
     assert peak < 10 * x.nbytes
 
 
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from paretogof.statistics import MELLIN_G, statistic_rows
+x = (1.0 - np.random.default_rng(507).random((150, 1000))) ** (-1.0 / 2.5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+statistic_rows([MELLIN_G], x, 1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_mellin_g_pair_loop_does_not_fault_per_column():
+    # Per-column temporaries of (150, n - j) floats sit above glibc's mmap
+    # threshold, so each one is mapped, zero-filled page by page on first
+    # touch and unmapped again: about 440 000 minor faults for this call.
+    # Reused scratch buffers fault a few thousand times. It runs in a fresh
+    # process because earlier tests leave the allocator warm, which hides it.
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50_000
+
+
 def test_mellin_g_routes_differ():
     # plugging the estimate into G is not the same number as evaluating G at
     # shape one on the transformed sample; both routes must stay available
@@ -378,6 +413,25 @@ def test_batch_rows_match_single_sample_calls():
         suite = {v.kind: v.value for v in exp_edf_suite(Sample(rows[r]))}
         for k in EXP_KINDS:
             assert got[k][r] == pytest.approx(suite[k], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 1000])
+def test_statistic_rows_are_row_independent(n):
+    # each row's value depends on its own row alone, bit for bit: a 1-row
+    # block, a middle block and a ragged tail give the whole matrix's values.
+    # G slices its scratch buffers by the row count, so it is also checked on
+    # the pivotal rows at shape one. The other kinds are not: at a shape of
+    # exactly one, numpy computes x ** -1 for a 1-row block differently in
+    # the last bit (ROADMAP item 2).
+    rows = 13
+    x = pareto_rows(2.0, n, rows, RandomStream(510, n))
+    b = mle_rows(x)
+    for kinds, mat, beta in ((ALL_KINDS, x, b), ([MELLIN_G], x ** b[:, None], np.ones(rows))):
+        whole = statistic_rows(kinds, mat, beta)
+        parts = [statistic_rows(kinds, mat[lo:hi], beta[lo:hi])
+                 for lo, hi in ((0, 1), (1, 5), (5, rows))]
+        for k in kinds:
+            assert np.array_equal(whole[k], np.concatenate([p[k] for p in parts])), k
 
 
 def test_statistic_rows_validation():
