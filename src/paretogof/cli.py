@@ -5,10 +5,15 @@ Four subcommands: ``test`` runs the goodness-of-fit tests on a dataset file,
 ``power`` runs a simulation study, and ``golf`` reproduces the built-in
 golf-earnings case study.
 
+A subcommand's default test suite is parsed like ``--tests``, so
+``--tuning-a`` retunes G in it too.
+
 Exit codes are distinct per failure class: 0 success, 2 usage errors
-(including an invalid study grid), 3 input files that fail to parse, 4 domain
-errors such as observations outside the model support. Every run prints its
-resolved seed; replaying with that seed reproduces the output byte for byte.
+(including option values outside their domain and an invalid study grid),
+3 input files that fail to parse and ``--config`` files with a bad test or
+alternative token, 4 domain errors in the data, such as observations outside
+the model support. Every run prints its resolved seed; replaying with that
+seed reproduces the output byte for byte.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ from .distributions import (
 from .estimation import EstimatorMethod
 from .inference import (
     ConfigurationError,
+    CriticalValueTable,
     UnsupportedPathError,
     bootstrap_pvalue_many,
     null_critical_values,
@@ -90,7 +96,7 @@ def _resolve_seed(value) -> int:
 def _parse_tests(tokens, tuning_a: float):
     kinds = []
     for token in tokens:
-        t = token.strip().lower()
+        t = str(token).strip().lower()
         if t == "all":
             kinds += [_with_tuning(k, tuning_a) for k in ALL_KINDS]
         elif t == "pareto":
@@ -113,6 +119,13 @@ def _with_tuning(kind: TestKind, tuning_a: float) -> TestKind:
     return kind
 
 
+def _tuning_constant(text: str) -> float:
+    try:
+        return TestKind(TestTag.MELLIN_G, float(text)).tuning_a
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_estimators(token: str):
     t = token.strip().lower()
     if t == "both":
@@ -126,7 +139,7 @@ def _parse_estimators(token: str):
 
 
 def _parse_alternative(token: str):
-    name, sep, value = token.partition(":")
+    name, sep, value = str(token).partition(":")
     name = name.strip().lower()
     if not sep:
         raise argparse.ArgumentTypeError(
@@ -180,14 +193,6 @@ def _fmt_thousands(x: float) -> str:
     return f"{int(round(x)):,}".replace(",", " ")
 
 
-def _write_or_print(text: str, output) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-        print(f"wrote {output}")
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -197,12 +202,11 @@ def cmd_test(args) -> int:
     if args.scale <= 0:
         raise DomainError(f"scale divisor must be positive, got {args.scale!r}")
     sample = Sample(raw / args.scale)
-    kinds = args.tests if args.tests is not None else list(PARETO_KINDS)
     results = []
     for i, estimator in enumerate(args.estimator):
         results.extend(
             bootstrap_pvalue_many(
-                kinds, estimator, sample, args.b,
+                args.tests, estimator, sample, args.b,
                 RandomStream(args.seed, i * _TOUR_STRIDE), (args.alpha,),
             )
         )
@@ -217,21 +221,17 @@ def cmd_test(args) -> int:
     if any(e is EstimatorMethod.MME for e in args.estimator):
         print("  (* recommended combination: MP2 or G with the MME fit)")
     if args.output:
-        _write_or_print(render_table(results, args.format), args.output)
+        Path(args.output).write_text(render_table(results, args.format), encoding="utf-8")
+        print(f"wrote {args.output}")
     return 0
 
 
 def cmd_critical_values(args) -> int:
-    kinds = args.tests if args.tests is not None else list(ALL_KINDS)
-    table = None
+    table = CriticalValueTable(reps=args.reps, seed=args.seed)
     for i, n in enumerate(args.n):
-        part = null_critical_values(
-            kinds, n, args.alpha, args.reps, RandomStream(args.seed, i * _TOUR_STRIDE)
-        )
-        if table is None:
-            table = part
-        else:
-            table.entries.update(part.entries)
+        table.entries.update(null_critical_values(
+            args.tests, n, args.alpha, args.reps, RandomStream(args.seed, i * _TOUR_STRIDE)
+        ).entries)
     print(f"reps = {args.reps}")
     for (kind, estimator, n, alpha), value in sorted(
         table.entries.items(),
@@ -259,14 +259,11 @@ def cmd_power(args) -> int:
             return flag_value
         return file_conf.get(key, fallback)
 
-    try:
-        alternatives = pick(args.alternatives, "alternatives", None)
-        if alternatives and isinstance(alternatives[0], str):
-            alternatives = [_parse_alternative(t) for t in alternatives]
-        tests = pick(args.tests, "tests", PARETO_KINDS)
-        if tests and isinstance(tests[0], str):
-            tests = _parse_tests(tests, args.tuning_a)
-    except argparse.ArgumentTypeError as exc:
+    try:  # the command-line values were parsed in main; these come from the file
+        alternatives = args.alternatives or [
+            _parse_alternative(t) for t in file_conf.get("alternatives", ())]
+        tests = args.tests or _parse_tests(file_conf.get("tests", ["pareto"]), args.tuning_a)
+    except (argparse.ArgumentTypeError, DomainError) as exc:
         raise CliParseError(f"{args.config}: {exc}") from None
     config = StudyConfig(
         sample_sizes=tuple(pick(args.n, "sample_sizes", (20, 30))),
@@ -274,7 +271,7 @@ def cmd_power(args) -> int:
         tests=tuple(tests),
         estimators=tuple(pick(args.estimator, "estimators",
                               (EstimatorMethod.MME, EstimatorMethod.MLE))),
-        alternatives=tuple(alternatives) if alternatives else FIXED_ALTERNATIVES,
+        alternatives=tuple(alternatives) or FIXED_ALTERNATIVES,
         desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", 0.1),
         master_seed=args.seed,
     )
@@ -313,9 +310,8 @@ def cmd_golf(args) -> int:
             chunk = data.raw[lo : lo + 7]
             print("  " + "  ".join(f"{_fmt_thousands(v):>10s}" for v in chunk))
         print(f"average earnings {_fmt_thousands(data.mean_earnings)} per player")
-        kinds = args.tests if args.tests is not None else list(PARETO_KINDS)
         results = run_golf_application(
-            tour, args.estimator, kinds, args.b,
+            tour, args.estimator, args.tests, args.b,
             RandomStream(args.seed, tour_idx * _TOUR_STRIDE),
         )
         print(render_table(results, args.format), end="")
@@ -326,7 +322,11 @@ def cmd_golf(args) -> int:
 # parser
 
 
-def _add_common(p, *, fmt=True):
+def _add_common(p, default_tests, *, fmt=True):
+    p.add_argument("--tests", nargs="+", default=default_tests, metavar="TEST",
+                   help="tests to run (ks cv ad za g mp1 mp2 exp-* pareto exp all)")
+    p.add_argument("--tuning-a", type=_tuning_constant, default=1.0,
+                   help="tuning constant of the G statistic")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed; generated and printed when omitted")
     if fmt:
@@ -343,34 +343,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="test a dataset file for Pareto-ness")
     p_test.add_argument("input", help="one observation per line, or single-column CSV")
-    p_test.add_argument("--tests", nargs="+", default=None, metavar="TEST",
-                        help="tests to run (ks cv ad za g mp1 mp2 exp-* pareto exp all)")
     p_test.add_argument("--estimator", type=_parse_estimators, default=[EstimatorMethod.MME],
                         help="mme (default), mle or both")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--b", type=int, default=10_000, help="bootstrap replications")
     p_test.add_argument("--scale", type=float, default=1.0,
                         help="divide observations by this before testing")
-    p_test.add_argument("--tuning-a", type=float, default=1.0,
-                        help="tuning constant of the G statistic")
     p_test.add_argument("--output", default=None, help="also write the report to this file")
-    _add_common(p_test)
+    _add_common(p_test, ["pareto"])
     p_test.set_defaults(func=cmd_test)
 
     p_cv = sub.add_parser("critical-values", help="simulate a critical-value table")
     p_cv.add_argument("--n", type=int, nargs="+", default=[20, 30])
     p_cv.add_argument("--alpha", type=float, nargs="+", default=[0.01, 0.05, 0.10])
-    p_cv.add_argument("--tests", nargs="+", default=None, metavar="TEST")
     p_cv.add_argument("--reps", type=int, default=100_000)
-    p_cv.add_argument("--tuning-a", type=float, default=1.0)
     p_cv.add_argument("--output", default=None, help="write the table file here")
-    _add_common(p_cv, fmt=False)
+    _add_common(p_cv, ["all"], fmt=False)
     p_cv.set_defaults(func=cmd_critical_values)
 
     p_pow = sub.add_parser("power", help="run a power study")
     p_pow.add_argument("--n", type=int, nargs="+", default=None)
     p_pow.add_argument("--alpha", type=float, default=None)
-    p_pow.add_argument("--tests", nargs="+", default=None, metavar="TEST")
     p_pow.add_argument("--estimator", type=_parse_estimators, default=None)
     p_pow.add_argument("--alternatives", nargs="+", default=None, metavar="FAMILY:THETA",
                        help="e.g. gamma:1.2 tiltedpareto:3 expmix:0.5 (default: full grid)")
@@ -378,23 +371,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replication desk-scale factor (default 0.1)")
     p_pow.add_argument("--full", action="store_true",
                        help="publication-scale replication counts (scale factor 1)")
-    p_pow.add_argument("--tuning-a", type=float, default=1.0)
     p_pow.add_argument("--jobs", type=int, default=None,
                        help=f"parallel workers (default ${_JOBS_ENV} or 1)")
     p_pow.add_argument("--config", default=None,
                        help="JSON file with StudyConfig fields; flags override")
     p_pow.add_argument("--output-dir", default=None)
-    _add_common(p_pow)
+    _add_common(p_pow, None)  # tests from --config, else the pareto suite
     p_pow.set_defaults(func=cmd_power)
 
     p_golf = sub.add_parser("golf", help="golf-earnings case study on embedded data")
     p_golf.add_argument("--tour", choices=("pga", "liv", "both"), default="both")
-    p_golf.add_argument("--tests", nargs="+", default=None, metavar="TEST")
     p_golf.add_argument("--estimator", type=_parse_estimators,
                         default=[EstimatorMethod.MME, EstimatorMethod.MLE])
     p_golf.add_argument("--b", type=int, default=10_000)
-    p_golf.add_argument("--tuning-a", type=float, default=1.0)
-    _add_common(p_golf)
+    _add_common(p_golf, ["pareto"])
     p_golf.set_defaults(func=cmd_golf)
 
     return parser
@@ -404,11 +394,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tests", None) is not None:
-            args.tests = _parse_tests(args.tests, getattr(args, "tuning_a", 1.0))
+        if args.tests is not None:
+            args.tests = _parse_tests(args.tests, args.tuning_a)
         if getattr(args, "alternatives", None) is not None:
             args.alternatives = [_parse_alternative(t) for t in args.alternatives]
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, DomainError) as exc:
         parser.error(str(exc))
     args.seed = _resolve_seed(args.seed)
     print(f"seed: {args.seed}")

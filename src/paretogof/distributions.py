@@ -352,14 +352,11 @@ def _pareto_quantile(u, beta):
 # ---------------------------------------------------------------------------
 # Alternatives: distribution functions
 
-try:  # scipy is a hard dependency; the guard only keeps import errors readable
-    from scipy import special as _special
-except ImportError as exc:  # pragma: no cover
-    raise ImportError("paretogof requires scipy") from exc
-
 
 def alt_cdf(spec: AlternativeSpec, x):
     """CDF of an alternative family at ``x``; zero below the support."""
+    from scipy import special as _special  # only the alternative CDFs need scipy
+
     x = np.asarray(x, dtype=np.float64)
     th = spec.theta
     if spec.family is Family.PARETO:
@@ -476,6 +473,8 @@ def _mixture_draw(spec: MixtureSpec):
 
 def mixture_cdf(spec: MixtureSpec, x):
     """CDF of the mixture: p * contaminant + (1 - p) * mean-matched Pareto."""
+    from scipy import special as _special  # only the alternative CDFs need scipy
+
     x = np.asarray(x, dtype=np.float64)
     y = np.maximum(x - 1.0, 0.0)
     params = _contaminant_params(spec)

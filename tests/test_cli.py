@@ -1,15 +1,21 @@
 """Command-line interface: parsing, exit codes, reports, determinism."""
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paretogof
 from paretogof import CriticalValueTable, RandomStream, pareto_sample
 from paretogof.cli import main, read_numeric_file
 from paretogof.inference import _TABLE_FORMAT  # noqa: F401  (existence check)
+
+SRC = Path(paretogof.__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -79,6 +85,27 @@ def test_cmd_test_selects_tests_and_tuning(null_file, capsys):
     assert code == 0
     assert "G(a=2)" in out and "MP2" in out
     assert "KS" not in out
+
+
+@pytest.mark.parametrize("command", ["golf", "test", "critical-values", "power"])
+def test_default_suites_honour_tuning_a(command, null_file, tmp_path, capsys):
+    argv = {
+        "golf": ["golf", "--tour", "liv", "--estimator", "mle", "--b", "50"],
+        "test": ["test", str(null_file), "--b", "50"],
+        "critical-values": ["critical-values", "--n", "10", "--reps", "1000",
+                            "--alpha", "0.05"],
+        "power": ["power", "--n", "10", "--alternatives", "pareto:2", "--estimator", "mme",
+                  "--output-dir", str(tmp_path / "study")],
+    }[command]
+    assert main([*argv, "--tuning-a", "2", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    if command == "power":
+        labels = json.loads((tmp_path / "study" / "manifest.json").read_text())
+        assert "G(a=2)" in labels["config"]["tests"]
+        assert "G" not in labels["config"]["tests"]
+    else:
+        assert "G(a=2)" in out
+        assert not re.search(r"\bG ?[/|]", out)  # no untuned G row
 
 
 def test_cmd_test_writes_report_file(null_file, tmp_path, capsys):
@@ -165,6 +192,32 @@ def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
     assert main(["power", "--seed", str(2**64), "--n", "10", "--estimator", "mme",
                  "--alternatives", "pareto:2", "--tests", "ks"]) == 2
     assert f"seed={2**64}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["power", "--alternatives", "gamma:-1"], "theta must be positive"),
+    (["power", "--alternatives", "expmix:2"], "mixing proportion must lie in [0, 1]"),
+    (["test", "data.txt", "--tests", "g", "--tuning-a", "0"],
+     "tuning constant must be positive"),
+], ids=["gamma", "expmix", "tuning-a"])
+def test_option_values_outside_their_domain_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alternative, message", [
+    ("gamma:-1", "theta must be positive"),
+    ("expmix:2", "mixing proportion must lie in [0, 1]"),
+], ids=["gamma", "expmix"])
+def test_config_values_outside_their_domain_exit_three(alternative, message, tmp_path,
+                                                       capsys):
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"tests": ["ks"], "alternatives": [alternative],
+                                "sample_sizes": [10], "desk_scale": 0.1}))
+    assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_invalid_study_grid_is_a_usage_error(capsys):
@@ -262,9 +315,11 @@ def test_cmd_power_bad_config_file_exits_three(tmp_path, capsys):
     conf = tmp_path / "broken.json"
     conf.write_text("{not json")
     assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
-    conf.write_text(json.dumps({"tests": ["bogus"], "alternatives": ["pareto:2"],
-                                "sample_sizes": [10], "desk_scale": 0.1}))
-    assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
+    for tests, alternatives in ((["bogus"], ["pareto:2"]), ([1], ["pareto:2"]),
+                                (["ks"], [2.0])):
+        conf.write_text(json.dumps({"tests": tests, "alternatives": alternatives,
+                                    "sample_sizes": [10], "desk_scale": 0.1}))
+        assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
 
 
 def test_cmd_power_bad_alternative_token_is_a_usage_error():
@@ -313,9 +368,20 @@ def test_cmd_golf_is_deterministic(capsys):
 # installed entry point
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    # only the alternative CDFs use scipy, and no command calls them
+    proc = subprocess.run(
+        [sys.executable, "-c", "import paretogof.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_script_help_runs():
     proc = subprocess.run([sys.executable, "-m", "paretogof.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
     # argparse --help exits zero and prints the subcommand list
     assert proc.returncode == 0
     assert "critical-values" in proc.stdout
