@@ -10,10 +10,10 @@ A subcommand's default test suite is parsed like ``--tests``, so
 
 Exit codes are distinct per failure class: 0 success, 2 usage errors
 (including option values outside their domain and an invalid study grid),
-3 input files that fail to parse and ``--config`` files with a bad test or
-alternative token, 4 domain errors in the data, such as observations outside
-the model support. Every run prints its resolved seed; replaying with that
-seed reproduces the output byte for byte.
+3 input files that fail to parse and ``--config`` values that the matching
+option's parser rejects, 4 domain errors in the data, such as observations
+outside the model support. Every run prints its resolved seed; replaying
+with that seed reproduces the output byte for byte.
 """
 from __future__ import annotations
 
@@ -75,6 +75,8 @@ _TEST_TOKENS = {
     "exp-za": TestTag.EXP_ZA,
 }
 
+_SUITES = {"all": ALL_KINDS, "pareto": PARETO_KINDS, "exp": EXP_KINDS}
+
 _FAMILY_TOKENS = {f.value: f for f in Family}
 _MIXTURE_TOKENS = {
     "expmix": Contaminant.SHIFTED_EXPONENTIAL,
@@ -93,30 +95,23 @@ def _resolve_seed(value) -> int:
     return SystemRandom().randrange(1 << 32)
 
 
+def _test_token(token) -> str:
+    t = str(token).strip().lower()
+    if t not in _TEST_TOKENS and t not in _SUITES:
+        raise argparse.ArgumentTypeError(
+            f"unknown test {token!r}; choose from "
+            f"{', '.join(sorted(_TEST_TOKENS))}, pareto, exp, all"
+        )
+    return t
+
+
 def _parse_tests(tokens, tuning_a: float):
     kinds = []
-    for token in tokens:
-        t = str(token).strip().lower()
-        if t == "all":
-            kinds += [_with_tuning(k, tuning_a) for k in ALL_KINDS]
-        elif t == "pareto":
-            kinds += [_with_tuning(k, tuning_a) for k in PARETO_KINDS]
-        elif t == "exp":
-            kinds += EXP_KINDS
-        elif t in _TEST_TOKENS:
-            kinds.append(_with_tuning(TestKind(_TEST_TOKENS[t]), tuning_a))
-        else:
-            raise argparse.ArgumentTypeError(
-                f"unknown test {token!r}; choose from "
-                f"{', '.join(sorted(_TEST_TOKENS))}, pareto, exp, all"
-            )
+    for t in map(_test_token, tokens):
+        for kind in _SUITES[t] if t in _SUITES else [TestKind(_TEST_TOKENS[t])]:
+            tuned = kind.tag is TestTag.MELLIN_G and tuning_a != 1.0
+            kinds.append(TestKind(TestTag.MELLIN_G, tuning_a) if tuned else kind)
     return _unique_kinds(kinds)
-
-
-def _with_tuning(kind: TestKind, tuning_a: float) -> TestKind:
-    if kind.tag is TestTag.MELLIN_G and tuning_a != 1.0:
-        return TestKind(TestTag.MELLIN_G, tuning_a)
-    return kind
 
 
 def _tuning_constant(text: str) -> float:
@@ -151,10 +146,13 @@ def _parse_alternative(token: str):
         raise argparse.ArgumentTypeError(
             f"alternative {token!r} has a non-numeric parameter"
         ) from None
-    if name in _FAMILY_TOKENS:
-        return AlternativeSpec(_FAMILY_TOKENS[name], theta)
-    if name in _MIXTURE_TOKENS:
-        return MixtureSpec(theta, _MIXTURE_TOKENS[name])
+    try:
+        if name in _FAMILY_TOKENS:
+            return AlternativeSpec(_FAMILY_TOKENS[name], theta)
+        if name in _MIXTURE_TOKENS:
+            return MixtureSpec(theta, _MIXTURE_TOKENS[name])
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(f"alternative {token!r}: {exc}") from None
     raise argparse.ArgumentTypeError(
         f"unknown family {name!r}; families: {', '.join(sorted(_FAMILY_TOKENS))}; "
         f"mixtures: {', '.join(sorted(_MIXTURE_TOKENS))}"
@@ -254,25 +252,31 @@ def cmd_power(args) -> int:
         except json.JSONDecodeError as exc:
             raise CliParseError(f"{args.config}: invalid JSON ({exc})") from exc
 
-    def pick(flag_value, key, fallback):
+    def pick(flag_value, key, convert, default, one=False):
+        """The flag's value, else the file's or the default through the flag's converter."""
         if flag_value is not None:
             return flag_value
-        return file_conf.get(key, fallback)
+        value = file_conf.get(key, default)
+        tokens = [value] if one or not isinstance(value, list) else value
+        try:
+            values = [convert(str(t)) for t in tokens]
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise CliParseError(f"{args.config}: {key}: {exc}") from None
+        return values[0] if one else values
 
-    try:  # the command-line values were parsed in main; these come from the file
-        alternatives = args.alternatives or [
-            _parse_alternative(t) for t in file_conf.get("alternatives", ())]
-        tests = args.tests or _parse_tests(file_conf.get("tests", ["pareto"]), args.tuning_a)
-    except (argparse.ArgumentTypeError, DomainError) as exc:
-        raise CliParseError(f"{args.config}: {exc}") from None
+    tests = args.tests or _parse_tests(pick(None, "tests", _test_token, ["pareto"]),
+                                       args.tuning_a)
+    estimators = args.estimator or sum(
+        pick(None, "estimators", _parse_estimators, ["both"]), [])
+    alternatives = pick(args.alternatives, "alternatives", _parse_alternative, [])
     config = StudyConfig(
-        sample_sizes=tuple(pick(args.n, "sample_sizes", (20, 30))),
-        alpha=pick(args.alpha, "alpha", 0.05),
+        sample_sizes=tuple(pick(args.n, "sample_sizes", int, [20, 30])),
+        alpha=pick(args.alpha, "alpha", float, 0.05, one=True),
         tests=tuple(tests),
-        estimators=tuple(pick(args.estimator, "estimators",
-                              (EstimatorMethod.MME, EstimatorMethod.MLE))),
+        estimators=tuple(estimators),
         alternatives=tuple(alternatives) or FIXED_ALTERNATIVES,
-        desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", 0.1),
+        desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", float, 0.1,
+                                              one=True),
         master_seed=args.seed,
     )
     jobs = args.jobs or int(os.environ.get(_JOBS_ENV, "1"))
@@ -323,7 +327,8 @@ def cmd_golf(args) -> int:
 
 
 def _add_common(p, default_tests, *, fmt=True):
-    p.add_argument("--tests", nargs="+", default=default_tests, metavar="TEST",
+    p.add_argument("--tests", nargs="+", type=_test_token, default=default_tests,
+                   metavar="TEST",
                    help="tests to run (ks cv ad za g mp1 mp2 exp-* pareto exp all)")
     p.add_argument("--tuning-a", type=_tuning_constant, default=1.0,
                    help="tuning constant of the G statistic")
@@ -365,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--n", type=int, nargs="+", default=None)
     p_pow.add_argument("--alpha", type=float, default=None)
     p_pow.add_argument("--estimator", type=_parse_estimators, default=None)
-    p_pow.add_argument("--alternatives", nargs="+", default=None, metavar="FAMILY:THETA",
+    p_pow.add_argument("--alternatives", nargs="+", type=_parse_alternative, default=None,
+                       metavar="FAMILY:THETA",
                        help="e.g. gamma:1.2 tiltedpareto:3 expmix:0.5 (default: full grid)")
     p_pow.add_argument("--scale-factor", type=float, default=None,
                        help="replication desk-scale factor (default 0.1)")
@@ -393,13 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.tests is not None:
-            args.tests = _parse_tests(args.tests, args.tuning_a)
-        if getattr(args, "alternatives", None) is not None:
-            args.alternatives = [_parse_alternative(t) for t in args.alternatives]
-    except (argparse.ArgumentTypeError, DomainError) as exc:
-        parser.error(str(exc))
+    if args.tests is not None:  # after parsing, so --tuning-a may follow --tests
+        args.tests = _parse_tests(args.tests, args.tuning_a)
     args.seed = _resolve_seed(args.seed)
     print(f"seed: {args.seed}")
     try:

@@ -16,9 +16,11 @@ variates of its own substream's ``generator()``:
   LFR, BetaExp, TiltedPareto and Dhillon) are inverse transforms of uniforms,
   so a single vectorised Philox4x64-10 kernel draws the uniforms of every row
   at once and the transform maps the whole matrix;
-* the ziggurat families (gamma, Weibull, lognormal, half-normal), the
-  mixtures, and the rare row whose draw falls off the support use one
-  ``np.random.Generator`` per row.
+* the ziggurat families (gamma, Weibull, lognormal, half-normal) and the
+  mixtures draw from one ``np.random.Generator`` per block, re-keyed per row.
+
+One support check over the block finds the rare row that fell off the
+support; it is re-keyed, replays its first draw and continues its substream.
 """
 from __future__ import annotations
 
@@ -500,10 +502,10 @@ def _on_support(x: np.ndarray):
     return np.all(np.isfinite(x) & (x > 1.0), axis=-1)
 
 
-def _redrawn(g: np.random.Generator, draw, n: int, substream: int) -> np.ndarray:
-    """Redraw one invalid row from ``g``, which continues the row's substream."""
+def _redrawn(draw, substream: int) -> np.ndarray:
+    """Redraw one invalid row with ``draw()``, which continues the row's substream."""
     for _ in range(_MAX_REDRAWS):
-        row = np.asarray(draw(g, n), dtype=np.float64)
+        row = draw()
         if _on_support(row):
             return row
     raise DomainError(
@@ -515,38 +517,49 @@ def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
                draw) -> np.ndarray:
     """Draw a (reps, n) matrix, row r from substream ``offset + step * r``.
 
-    ``draw`` is either a :class:`_Quantile`, whose per-row parameter lets rows
-    differ in their law, or a sampler ``draw(g, n)`` of the row's Generator.
-    A :class:`_Quantile` takes the batch path: :func:`_philox_uniforms` draws
-    the uniforms of every row at once and the quantile maps the whole matrix.
-    Any other sampler builds one Generator per row.
+    ``draw`` is a :class:`_Quantile`, whose per-row parameter lets rows differ
+    in their law, or a sampler ``draw(g, n)``. A :class:`_Quantile` maps the
+    uniforms :func:`_philox_uniforms` draws for every row at once. A sampler
+    fills each row from one Generator, built on first use and re-keyed per row
+    to the state its substream's ``generator()`` starts in: key ``(id, seed)``,
+    counter zero, buffer empty.
 
-    Rows are validated against the support (finite, strictly above one).
-    An invalid draw, which happens only when a uniform lands exactly on an
-    endpoint, is redrawn by continuing the same substream so that every other
-    row is unaffected. On the batch path that row alone rebuilds its
-    Generator and skips the ``n`` uniforms the batch already used.
+    One support check (finite, strictly above one) then marks the rows that hit
+    an endpoint. Each is re-keyed, replays its first draw and continues its own
+    substream, so no other row moves. Without such a row the batch path never
+    loads ``numpy.random``.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     if reps < 1:
         raise ValueError("replication count must be at least 1")
-    if not isinstance(draw, _Quantile):
-        out = np.empty((reps, n), dtype=np.float64)
-        for r in range(reps):
-            g = stream.shifted(offset + step * r).generator()
-            row = np.asarray(draw(g, n), dtype=np.float64)
-            out[r] = row if _on_support(row) else _redrawn(g, draw, n, offset + step * r)
-        return out
     # the ids run from one end to the other, so checking both ends checks all
     stream.shifted(offset), stream.shifted(offset + step * (reps - 1))
     ids = (np.uint64(stream.stream_id + offset)
            + np.uint64(step & _MASK64) * np.arange(reps, dtype=np.uint64))
-    out = draw(_philox_uniforms(stream.seed, ids, n))
+    gen = []  # the one Generator, built when a row first needs it
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4}, "buffer": [0] * 4,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def keyed(r: int) -> np.random.Generator:
+        if not gen:
+            gen.append(np.random.Generator(np.random.Philox(key=0)))
+        state["state"]["key"] = [int(ids[r]), stream.seed]
+        gen[0].bit_generator.state = state
+        return gen[0]
+
+    if isinstance(draw, _Quantile):
+        out = draw(_philox_uniforms(stream.seed, ids, n))
+        row = lambda g, r: draw(g.random(n), r)  # noqa: E731
+    else:
+        row = lambda g, r: draw(g, n)  # noqa: E731
+        out = np.empty((reps, n), dtype=np.float64)
+        for r in range(reps):
+            out[r] = draw(keyed(r), n)
     for r in np.flatnonzero(~_on_support(out)).tolist():
-        g = stream.shifted(offset + step * r).generator()
-        g.random(n)
-        out[r] = _redrawn(g, lambda g, n: draw(g.random(n), r), n, offset + step * r)
+        g = keyed(r)
+        row(g, r)  # the first draw, already in out[r]
+        out[r] = _redrawn(lambda: row(g, r), offset + step * r)
     return out
 
 

@@ -194,17 +194,22 @@ def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
     assert f"seed={2**64}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["power", "--alternatives", "gamma:-1"], "theta must be positive"),
-    (["power", "--alternatives", "expmix:2"], "mixing proportion must lie in [0, 1]"),
+@pytest.mark.parametrize("argv, message, option", [
+    (["power", "--alternatives", "gamma:-1"], "theta must be positive", "--alternatives"),
+    (["power", "--alternatives", "expmix:2"], "mixing proportion must lie in [0, 1]",
+     "--alternatives"),
     (["test", "data.txt", "--tests", "g", "--tuning-a", "0"],
-     "tuning constant must be positive"),
+     "tuning constant must be positive", "--tuning-a"),
 ], ids=["gamma", "expmix", "tuning-a"])
-def test_option_values_outside_their_domain_are_usage_errors(argv, message, capsys):
+def test_option_values_outside_their_domain_are_usage_errors(argv, message, option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # the subcommand's parser reports it, naming the option and the token
+    assert f"paretogof {argv[0]}: error: argument {option}" in err
+    assert argv[-1] in err
 
 
 @pytest.mark.parametrize("alternative, message", [
@@ -218,6 +223,33 @@ def test_config_values_outside_their_domain_exit_three(alternative, message, tmp
                                 "sample_sizes": [10], "desk_scale": 0.1}))
     assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_config_values_go_through_the_option_parsers(tmp_path, capsys):
+    conf, out_dir = tmp_path / "study.json", tmp_path / "out"
+    # "both" is what --estimator accepts; a bare token stands for a one-token list
+    conf.write_text(json.dumps({"estimators": ["both"], "tests": "ks", "sample_sizes": 10,
+                                "alternatives": ["pareto:2"], "alpha": 0.1,
+                                "desk_scale": 0.1}))
+    assert main(["power", "--config", str(conf), "--seed", "1",
+                 "--output-dir", str(out_dir)]) == 0
+    man = json.loads((out_dir / "manifest.json").read_text())["config"]
+    assert man["estimators"] == ["mme", "mle"] and man["tests"] == ["KS"]
+    assert man["sample_sizes"] == [10] and man["alpha"] == 0.1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sample_sizes", "x"), ("sample_sizes", [10.5]), ("estimators", ["map"]),
+    ("alpha", "high"), ("alpha", [0.05]), ("desk_scale", None),
+], ids=["sample_sizes-x", "sample_sizes-10.5", "estimators-map", "alpha-high", "alpha-list",
+        "desk_scale-null"])
+def test_config_values_their_option_rejects_exit_three(key, value, tmp_path, capsys):
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"tests": ["ks"], "alternatives": ["pareto:2"],
+                                "sample_sizes": [10], "desk_scale": 0.1, key: value}))
+    assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
+    assert f"{conf}: {key}: " in capsys.readouterr().err
 
 
 def test_invalid_study_grid_is_a_usage_error(capsys):

@@ -1,9 +1,16 @@
 """Sampling layer: stream keying, sample validation, and draw-vs-CDF agreement."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import paretogof
 from paretogof import (
+    FIXED_ALTERNATIVES,
     AlternativeSpec,
     Contaminant,
     DomainError,
@@ -457,3 +464,115 @@ def test_row_blocks_refuse_ids_past_64_bits():
         bootstrap_rows(np.ones(3), 5, RandomStream(1, top - 1))
     with pytest.raises(ValueError, match="stream_id"):
         alternative_rows(AlternativeSpec(Family.DHILLON, 0.4), 5, 2, RandomStream(1, 1), -2)
+
+
+
+# ---------------------------------------------------------------------------
+# Samplers against a Generator built per row
+
+# The samplers written out from the families' definitions: each shifted by one
+_ZIGGURAT_DRAWS = {
+    Family.GAMMA: lambda g, n, th: 1.0 + g.gamma(th, size=n),
+    Family.WEIBULL: lambda g, n, th: 1.0 + g.weibull(th, size=n),
+    Family.LOG_NORMAL: lambda g, n, th: 1.0 + g.lognormal(0.0, th, size=n),
+    Family.HALF_NORMAL: lambda g, n, th: 1.0 + np.abs(g.normal(0.0, th, size=n)),
+}
+_ZIGGURAT_SPECS = [a for a in FIXED_ALTERNATIVES if a.family in _ZIGGURAT_DRAWS]
+
+
+def _mixture_per_row(spec):
+    """Indicators, then Pareto uniforms, then the contaminant, from one Generator."""
+    m = spec.contaminant_mean - 1.0
+    contaminant = {
+        Contaminant.SHIFTED_EXPONENTIAL: lambda g, n: g.exponential(m, size=n),
+        Contaminant.SHIFTED_HALF_NORMAL:
+            lambda g, n: np.abs(g.normal(0.0, m * np.sqrt(np.pi / 2.0), size=n)),
+        Contaminant.SHIFTED_LOG_NORMAL: lambda g, n: g.lognormal(np.log(m) - 0.5, 1.0, size=n),
+    }[spec.contaminant]
+
+    def draw(g, n):
+        pick = g.random(n) < spec.p
+        pareto = (1.0 - g.random(n)) ** (-1.0 / spec.pareto_beta)
+        return np.where(pick, 1.0 + contaminant(g, n), pareto)
+
+    return draw
+
+
+def _per_row_rows(stream, sampler, n, reps, offset=0, step=1):
+    """Each row from its own fresh ``generator()``, redrawn from it while off the support.
+
+    Returns the matrix and how many of its rows needed a redraw.
+    """
+    rows, redrawn = [], 0
+    for r in range(reps):
+        g = stream.shifted(offset + step * r).generator()
+        row = sampler(g, n)
+        redrawn += not np.all(row > 1.0)
+        for _ in range(_MAX_REDRAWS):
+            if np.all(np.isfinite(row) & (row > 1.0)):
+                break
+            row = sampler(g, n)
+        rows.append(row)
+    return np.array(rows), redrawn
+
+
+@pytest.mark.parametrize("spec", _ZIGGURAT_SPECS, ids=lambda a: a.label)
+def test_ziggurat_families_match_the_per_row_generator(spec):
+    stream, reps, n = RandomStream(61, 40), 250, 20
+    rows = alternative_rows(spec, n, reps, stream, 5, 2)
+    sampler = lambda g, n: _ZIGGURAT_DRAWS[spec.family](g, n, spec.theta)  # noqa: E731
+    expect, _ = _per_row_rows(stream, sampler, n, reps, 5, 2)
+    assert np.array_equal(rows, expect)
+
+
+@pytest.mark.parametrize("contaminant", list(Contaminant), ids=lambda c: c.value)
+@pytest.mark.parametrize("p", [0.3, 1.0])
+def test_mixtures_match_the_per_row_generator(contaminant, p):
+    spec, stream, reps, n = MixtureSpec(p, contaminant), RandomStream(62, 9), 250, 20
+    expect, _ = _per_row_rows(stream, _mixture_per_row(spec), n, reps, 3, 4)
+    assert np.array_equal(alternative_rows(spec, n, reps, stream, 3, 4), expect)
+
+
+@pytest.mark.parametrize("seed, stream_id, offset, step", [
+    (_MASK64, _MASK64 - 2 * 99, 0, 2),  # the last row is keyed by 2**64 - 1
+    (7, _MASK64, 0, -3),  # ids run down from 2**64 - 1
+    (0, 1000, 17, 5),
+], ids=["top-ascending", "top-descending", "offset-step"])
+def test_keyed_rows_match_the_per_row_generator_at_any_id(seed, stream_id, offset, step):
+    stream, reps, n = RandomStream(seed, stream_id), 100, 7
+    for spec in (AlternativeSpec(Family.HALF_NORMAL, 1.2),
+                 MixtureSpec(0.5, Contaminant.SHIFTED_LOG_NORMAL)):
+        draw = (_mixture_per_row(spec) if isinstance(spec, MixtureSpec) else
+                lambda g, n: _ZIGGURAT_DRAWS[spec.family](g, n, spec.theta))
+        expect, _ = _per_row_rows(stream, draw, n, reps, offset, step)
+        assert np.array_equal(alternative_rows(spec, n, reps, stream, offset, step), expect)
+
+
+def test_sampler_rows_off_the_support_continue_their_own_substream():
+    # 1 + gamma(0.05) rounds to exactly 1 for about a sixth of the draws
+    stream, reps, n, th = RandomStream(63, 0), 2000, 1, 0.05
+    rows = alternative_rows(AlternativeSpec(Family.GAMMA, th), n, reps, stream)
+    expect, redrawn = _per_row_rows(
+        stream, lambda g, n: _ZIGGURAT_DRAWS[Family.GAMMA](g, n, th), n, reps)
+    assert redrawn >= 200
+    assert np.array_equal(rows, expect)
+
+
+def test_row_sampling_without_redraws_leaves_numpy_random_unloaded():
+    # the batch path builds a Generator only for a row that needs a redraw
+    code = (
+        "import sys, numpy as np\n"
+        "import paretogof\n"
+        "from paretogof import ALL_KINDS, RandomStream\n"
+        "from paretogof.distributions import bootstrap_rows, pareto_rows\n"
+        "from paretogof.statistics import statistic_rows\n"
+        "x = pareto_rows(2.0, 20, 500, RandomStream(1, 0))\n"
+        "y = bootstrap_rows(np.linspace(0.5, 4.0, 500), 20, RandomStream(1, 1), 3, 2)\n"
+        "statistic_rows(ALL_KINDS, np.vstack([x, y]), 2.0)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = Path(paretogof.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
