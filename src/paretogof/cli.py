@@ -268,13 +268,16 @@ def cmd_power(args) -> int:
                                        args.tuning_a)
     estimators = args.estimator or sum(
         pick(None, "estimators", _parse_estimators, ["both"]), [])
-    alternatives = pick(args.alternatives, "alternatives", _parse_alternative, [])
+    # an absent key means the full grid; an empty list is refused like "tests": []
+    alternatives = (pick(args.alternatives, "alternatives", _parse_alternative, [])
+                    if args.alternatives or "alternatives" in file_conf
+                    else FIXED_ALTERNATIVES)
     config = StudyConfig(
         sample_sizes=tuple(pick(args.n, "sample_sizes", int, [20, 30])),
         alpha=pick(args.alpha, "alpha", float, 0.05, one=True),
         tests=tuple(tests),
         estimators=tuple(estimators),
-        alternatives=tuple(alternatives) or FIXED_ALTERNATIVES,
+        alternatives=tuple(alternatives),
         desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", float, 0.1,
                                               one=True),
         master_seed=args.seed,

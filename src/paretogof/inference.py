@@ -27,6 +27,12 @@ Replication ``r`` of any loop owns a fixed substream of the supplied
 :class:`~paretogof.distributions.RandomStream`, so results are reproducible
 bit for bit regardless of execution order or worker count.
 
+Every route draws, estimates, transforms and evaluates its rows in chunks of
+about ``2**16 / n`` rows, never one row unless the whole block has one, and
+joins the statistic columns in row order before any quantile or p-value reads
+them. Each chunk draws its rows' own substreams: only the statistic columns
+grow with the replication count, and every number equals a whole-block run.
+
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes
 it (the bootstrap sampler, the statistics' shape check, or
@@ -44,6 +50,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .distributions import (
+    _PHILOX_BLOCK,
     AlternativeSpec,
     DomainError,
     MixtureSpec,
@@ -129,6 +136,32 @@ def _decision_stats(kinds, x: np.ndarray, b: np.ndarray, estimator: EstimatorMet
     if estimator is EstimatorMethod.MLE:
         return statistic_rows(kinds, x ** b[:, None], 1.0)
     return statistic_rows(kinds, x, b)
+
+
+def _row_blocks(block, reps: int, n: int) -> tuple:
+    """Run a route's ``reps`` rows of size ``n`` as ``block(lo, hi)`` chunks.
+
+    ``block`` draws, estimates and evaluates rows ``lo`` to ``hi`` and returns
+    a tuple of dicts, kind to per-row statistics; the result is that tuple
+    with every column over all ``reps`` rows, in row order. A chunk holds the
+    sampler's word budget, ``_PHILOX_BLOCK // n`` rows but at least 2, and a
+    1-row tail joins the chunk before it: numpy evaluates ``x ** -1`` on a
+    one-row block differently in the last bit, and every kernel is otherwise
+    row-independent, so the columns equal one whole-block evaluation.
+    """
+    rows = max(2, _PHILOX_BLOCK // max(n, 1))
+    starts = list(range(0, reps, rows))
+    if len(starts) > 1 and reps - starts[-1] == 1:
+        starts.pop()
+    out = None
+    for lo, hi in zip(starts, starts[1:] + [reps]):
+        part = block(lo, hi)
+        if out is None:
+            out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
+        for cols, d in zip(out, part):
+            for k, v in d.items():
+                cols[k][lo:hi] = v
+    return out
 
 
 def pivotal_statistic_rows(kinds, x: np.ndarray):
@@ -278,8 +311,12 @@ def null_critical_values(kinds, n: int, alphas, reps: int,
     if reps < 1000:
         raise ValueError("critical-value simulation needs reps >= 1000")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
-    x = pareto_rows(1.0, n, reps, stream)
-    stats = _decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE)
+
+    def block(lo, hi):
+        x = pareto_rows(1.0, n, hi - lo, stream, lo)
+        return (_decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE),)
+
+    (stats,) = _row_blocks(block, reps, n)
     table = CriticalValueTable(reps=reps, seed=stream.seed)
     for kind in kinds:
         for alpha in alphas:
@@ -384,8 +421,12 @@ def power_fixed_critical_many(kinds, alt, n: int, alpha: float, reps: int,
     if reps < 1:
         raise ValueError("reps must be at least 1")
     crit = {k: cv_table.value(k, EstimatorMethod.MLE, n, alpha) for k in kinds}
-    x = alternative_rows(alt, n, reps, stream)
-    stats = _decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE)
+
+    def block(lo, hi):
+        x = alternative_rows(alt, n, hi - lo, stream, lo)
+        return (_decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE),)
+
+    (stats,) = _row_blocks(block, reps, n)
     return {
         k: PowerEstimate(alt, k, EstimatorMethod.MLE, n, alpha,
                          float(np.mean(stats[k] > crit[k])), reps, stream.seed)
@@ -420,11 +461,15 @@ def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int
         raise ValueError("warp-speed estimation needs at least 2 replications")
 
     est_fn = _est_fn(estimator)
-    x = alternative_rows(alt, n, reps, stream, 0, 2)
-    b = est_fn(x)
-    xb = bootstrap_rows(b, n, stream, 1, 2)
-    stats = _decision_stats(kinds, x, b, estimator)
-    boot = _decision_stats(kinds, xb, est_fn(xb), estimator)
+
+    def block(lo, hi):
+        x = alternative_rows(alt, n, hi - lo, stream, 2 * lo, 2)
+        b = est_fn(x)
+        xb = bootstrap_rows(b, n, stream, 2 * lo + 1, 2)
+        return (_decision_stats(kinds, x, b, estimator),
+                _decision_stats(kinds, xb, est_fn(xb), estimator))
+
+    stats, boot = _row_blocks(block, reps, n)
     out = {}
     for k in kinds:
         crit = upper_quantile(boot[k], alpha)
@@ -466,8 +511,11 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
     obs_decision = (obs_display if estimator is EstimatorMethod.MME
                     else _decision_stats(kinds, x, b, estimator))
 
-    xb = bootstrap_rows(np.full(B, est.value), sample.n, stream)
-    boot = _decision_stats(kinds, xb, _est_fn(estimator)(xb), estimator)
+    def block(lo, hi):
+        xb = bootstrap_rows(np.full(hi - lo, est.value), sample.n, stream, lo)
+        return (_decision_stats(kinds, xb, _est_fn(estimator)(xb), estimator),)
+
+    (boot,) = _row_blocks(block, B, sample.n)
 
     results = []
     for k in kinds:

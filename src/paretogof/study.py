@@ -122,7 +122,9 @@ class StudyConfig:
             self, "estimators", tuple(EstimatorMethod(e) for e in self.estimators)
         )
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        if not self.sample_sizes or any(n < 1 for n in self.sample_sizes):
+        if not self.sample_sizes:
+            raise ValueError("sample sizes must be non-empty")
+        if any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")

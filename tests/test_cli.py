@@ -252,6 +252,37 @@ def test_config_values_their_option_rejects_exit_three(key, value, tmp_path, cap
     assert f"{conf}: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, message", [
+    ("alternatives", "tests, estimators and alternatives must be non-empty"),
+    ("sample_sizes", "sample sizes must be non-empty"),
+], ids=["alternatives", "sample_sizes"])
+def test_config_empty_lists_are_usage_errors(key, message, tmp_path, capsys):
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"tests": ["ks"], "alternatives": ["pareto:2"],
+                                "sample_sizes": [10], "desk_scale": 0.1, key: []}))
+    assert main(["power", "--config", str(conf), "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_without_alternatives_runs_the_full_grid(tmp_path, monkeypatch, capsys):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def record(config, n, jobs):
+        seen.append(config.alternatives)
+        raise Stop
+
+    monkeypatch.setattr(paretogof.cli, "run_power_table", record)
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"tests": ["ks"], "sample_sizes": [10]}))
+    with pytest.raises(Stop):
+        main(["power", "--config", str(conf), "--seed", "1"])
+    assert seen == [paretogof.cli.FIXED_ALTERNATIVES]
+    capsys.readouterr()
+
+
 def test_invalid_study_grid_is_a_usage_error(capsys):
     code = main(["power", "--alpha", "2.0", "--n", "10",
                  "--alternatives", "pareto:2", "--tests", "ks",

@@ -1,10 +1,15 @@
 """Inference machinery: quantile conventions, critical values, power, bootstrap."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paretogof
 from paretogof import (
     ALL_KINDS,
     AlternativeSpec,
@@ -32,8 +37,8 @@ from paretogof import (
     warp_speed_power,
 )
 from paretogof import inference
-from paretogof.distributions import pareto_rows
-from paretogof.estimation import mle_rows
+from paretogof.distributions import alternative_rows, bootstrap_rows, pareto_rows
+from paretogof.estimation import estimate_shape, mle_rows, mme_rows
 from paretogof.inference import (
     DEFAULT_ALPHAS,
     pivotal_statistic_rows,
@@ -186,6 +191,14 @@ def test_table_load_rejects_foreign_and_mixed_files(tmp_path):
 def test_null_pool_requires_enough_replications():
     with pytest.raises(ValueError, match="1000"):
         null_critical_values([KS], 20, [0.05], 999, RandomStream(602, 0))
+
+
+def test_routes_report_an_empty_sample_size_as_the_sampler_does():
+    # the chunk size is worked out from n before the sampler checks it
+    with pytest.raises(ValueError, match="sample size must be at least 1"):
+        null_critical_values([KS], 0, [0.05], 1000, RandomStream(602, 0))
+    with pytest.raises(ValueError, match="sample size must be at least 1"):
+        warp_speed_power_many([KS], MLE, GAMMA12, 0, 0.05, 10, RandomStream(602, 0))
 
 
 def test_null_critical_values_are_deterministic():
@@ -399,3 +412,154 @@ def test_degenerate_moment_estimates_raise_and_fail_the_cell(monkeypatch):
     assert not table.cells
     assert len(table.notes) == 1
     assert table.notes[0].startswith("Gamma(1.2) / mme: failed")
+
+
+# ---------------------------------------------------------------------------
+# row chunks
+
+
+def _chunks_of(monkeypatch, rows, n):
+    """Chunk every route's rows ``rows`` at a time; record the chunk sizes and
+    the statistic columns the chunk map returns."""
+    monkeypatch.setattr(inference, "_PHILOX_BLOCK", rows * n)
+    real = inference._row_blocks
+    seen = {"sizes": [], "columns": []}
+
+    def spy(block, reps, n):
+        def counted(lo, hi):
+            seen["sizes"].append(hi - lo)
+            return block(lo, hi)
+
+        out = real(counted, reps, n)
+        seen["columns"].append(out)
+        return out
+
+    monkeypatch.setattr(inference, "_row_blocks", spy)
+    return seen
+
+
+def _decision_oracle(kinds, x, b, estimator):
+    # whole-block evaluation: the pivotal transform at shape one for MLE
+    if estimator is MLE:
+        return statistic_rows(kinds, x ** b[:, None], 1.0)
+    return statistic_rows(kinds, x, b)
+
+
+def _assert_columns(got, want):
+    assert list(got) == list(want)
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+
+
+@pytest.mark.parametrize("reps", range(1, 12))
+def test_row_blocks_cover_every_row_once_and_never_one_alone(reps):
+    seen = []
+
+    def block(lo, hi):
+        seen.append((lo, hi))
+        return ({"r": np.arange(lo, hi, dtype=float)},)
+
+    out = inference._row_blocks(block, reps, inference._PHILOX_BLOCK // 3)  # 3-row chunks
+    assert np.array_equal(out[0]["r"], np.arange(reps))
+    assert [lo for lo, _ in seen] == [0] + [hi for _, hi in seen[:-1]]
+    assert seen[-1][1] == reps
+    sizes = [hi - lo for lo, hi in seen]
+    assert min(sizes) >= 2 or reps == 1
+    assert max(sizes) <= 4  # three rows, or four where a 1-row tail joined
+
+
+@pytest.mark.parametrize("rows, reps", [(2, 1001), (3, 1000)])
+def test_null_critical_values_equal_one_whole_block(rows, reps, monkeypatch):
+    # reps leaves a 1-row tail, which the map folds into the chunk before it
+    n, stream, alphas = 20, RandomStream(611, 0), [0.01, 0.05, 0.10]
+    assert reps % rows == 1
+    seen = _chunks_of(monkeypatch, rows, n)
+    table = null_critical_values(ALL_KINDS, n, alphas, reps, stream)
+    assert min(seen["sizes"]) >= 2 and len(seen["sizes"]) == reps // rows
+    x = pareto_rows(1.0, n, reps, stream)
+    want = _decision_oracle(ALL_KINDS, x, mle_rows(x), MLE)
+    _assert_columns(seen["columns"][0][0], want)
+    for k in ALL_KINDS:
+        for a in alphas:
+            assert table.value(k, MLE, n, a) == upper_quantile(want[k], a)
+
+
+def test_power_fixed_critical_equals_one_whole_block(monkeypatch):
+    n, reps, stream = 20, 301, RandomStream(611, 1)
+    table = CriticalValueTable(reps=1000, seed=0)
+    for k in ALL_KINDS:
+        table.put(k, MLE, n, 0.05, 0.5)
+    seen = _chunks_of(monkeypatch, 3, n)
+    got = power_fixed_critical_many(ALL_KINDS, GAMMA12, n, 0.05, reps, table, stream)
+    assert min(seen["sizes"]) >= 2
+    x = alternative_rows(GAMMA12, n, reps, stream)
+    want = _decision_oracle(ALL_KINDS, x, mle_rows(x), MLE)
+    _assert_columns(seen["columns"][0][0], want)
+    for k in ALL_KINDS:
+        assert got[k].power == float(np.mean(want[k] > 0.5))
+
+
+@pytest.mark.parametrize("alt", [NULL2, GAMMA12], ids=["philox", "ziggurat"])
+@pytest.mark.parametrize("estimator", [MME, MLE], ids=["mme", "mle"])
+def test_warp_speed_power_equals_one_whole_block(alt, estimator, monkeypatch):
+    # one chunk draws alternative rows at 2*lo, step 2, then bootstrap rows at
+    # 2*lo + 1, step 2: the interleaving of one whole-block run
+    n, reps, stream = 20, 301, RandomStream(611, 2)
+    kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
+    seen = _chunks_of(monkeypatch, 3, n)
+    got = warp_speed_power_many(kinds, estimator, alt, n, 0.05, reps, stream)
+    assert min(seen["sizes"]) >= 2
+    est = mle_rows if estimator is MLE else mme_rows
+    x = alternative_rows(alt, n, reps, stream, 0, 2)
+    b = est(x)
+    xb = bootstrap_rows(b, n, stream, 1, 2)
+    want = _decision_oracle(kinds, x, b, estimator)
+    want_boot = _decision_oracle(kinds, xb, est(xb), estimator)
+    stats, boot = seen["columns"][0]
+    _assert_columns(stats, want)
+    _assert_columns(boot, want_boot)
+    for k in kinds:
+        crit = upper_quantile(want_boot[k], 0.05)
+        assert got[k].power == float(np.mean(want[k] > crit))
+
+
+@pytest.mark.parametrize("estimator", [MME, MLE], ids=["mme", "mle"])
+def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
+    s = pareto_sample(2.0, 20, RandomStream(611, 3))
+    B, stream = 301, RandomStream(611, 4)
+    kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
+    seen = _chunks_of(monkeypatch, 3, s.n)
+    got = bootstrap_pvalue_many(kinds, estimator, s, B, stream)
+    assert min(seen["sizes"]) >= 2
+    est = mle_rows if estimator is MLE else mme_rows
+    xb = bootstrap_rows(np.full(B, estimate_shape(s, estimator).value), s.n, stream)
+    want = _decision_oracle(kinds, xb, est(xb), estimator)
+    _assert_columns(seen["columns"][0][0], want)
+    for res in got:
+        count = int(np.sum(want[res.kind] >= res.decision_statistic))
+        assert res.p_value == (1.0 + count) / (B + 1.0)
+
+
+_PEAK_PROBE = """
+from paretogof import ALL_KINDS, RandomStream, null_critical_values
+null_critical_values(ALL_KINDS, 30, [0.05], 100_000, RandomStream(1))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak resident size from /proc")
+def test_null_pool_memory_stays_flat_in_the_replication_count():
+    # a whole 100 000 x 30 block, its transform, sorted copy, CDF and kernel
+    # temporaries peaked at about 284 MB; chunks keep the peak near the
+    # imports' 29 MB. A fresh process, so no earlier test's peak counts. It
+    # reads VmHWM, the peak of its own address space: ru_maxrss also carries
+    # the peak of the process that launched it, here the pytest process's.
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 100

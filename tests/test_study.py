@@ -94,9 +94,9 @@ def test_config_scaling_floors_at_one_thousand():
 def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(alpha=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample sizes must be non-empty"):
         StudyConfig(sample_sizes=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample sizes must be positive"):
         StudyConfig(sample_sizes=(0,))
     with pytest.raises(ValueError):
         StudyConfig(tests=())
