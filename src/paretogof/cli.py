@@ -40,6 +40,7 @@ from .inference import (
     ConfigurationError,
     CriticalValueTable,
     UnsupportedPathError,
+    _check_alpha,
     bootstrap_pvalue_many,
     null_critical_values,
 )
@@ -117,6 +118,13 @@ def _parse_tests(tokens, tuning_a: float):
 def _tuning_constant(text: str) -> float:
     try:
         return TestKind(TestTag.MELLIN_G, float(text)).tuning_a
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _level(text: str) -> float:
+    try:
+        return _check_alpha(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -251,6 +259,9 @@ def cmd_power(args) -> int:
             raise CliParseError(f"cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise CliParseError(f"{args.config}: invalid JSON ({exc})") from exc
+        if not isinstance(file_conf, dict):
+            raise CliParseError(f"{args.config}: expected a JSON object of study "
+                                f"fields, got {type(file_conf).__name__}")
 
     def pick(flag_value, key, convert, default, one=False):
         """The flag's value, else the file's or the default through the flag's converter."""
@@ -353,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("input", help="one observation per line, or single-column CSV")
     p_test.add_argument("--estimator", type=_parse_estimators, default=[EstimatorMethod.MME],
                         help="mme (default), mle or both")
-    p_test.add_argument("--alpha", type=float, default=0.05)
+    p_test.add_argument("--alpha", type=_level, default=0.05)
     p_test.add_argument("--b", type=int, default=10_000, help="bootstrap replications")
     p_test.add_argument("--scale", type=float, default=1.0,
                         help="divide observations by this before testing")
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("critical-values", help="simulate a critical-value table")
     p_cv.add_argument("--n", type=int, nargs="+", default=[20, 30])
-    p_cv.add_argument("--alpha", type=float, nargs="+", default=[0.01, 0.05, 0.10])
+    p_cv.add_argument("--alpha", type=_level, nargs="+", default=[0.01, 0.05, 0.10])
     p_cv.add_argument("--reps", type=int, default=100_000)
     p_cv.add_argument("--output", default=None, help="write the table file here")
     _add_common(p_cv, ["all"], fmt=False)

@@ -3,7 +3,8 @@
 Two estimators are supported. The maximum likelihood estimator is
 n / sum(log x_j); the moment estimator solves mean = beta/(beta - 1) for beta
 and therefore requires the sample mean to exceed one, which always holds on
-the support x > 1.
+the support x > 1. Both refuse a sample whose mean exceeds one by no more
+than its rounding error, where either estimate would be rounding noise.
 
 Raising every observation to the estimated MLE power maps the sample to a
 scale where the fitted shape is exactly one. Test statistics evaluated at
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DomainError, Sample, _as_sample
+from .distributions import DomainError, Sample, _as_sample, _row_power
 
 __all__ = [
     "EstimatorMethod",
@@ -47,16 +48,29 @@ class ShapeEstimate:
             raise DomainError(f"estimated shape must be positive, got {self.value!r}")
 
 
+def _estimable(sample) -> Sample:
+    """The sample, unless its mean is within its rounding error (n·eps·mean)
+    of one, where mean - 1 and the sum of log x_j are rounding noise. A mean
+    that overflows is far from one."""
+    sample = _as_sample(sample)
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(sample.values))
+    if np.isfinite(mean) and mean - 1.0 <= sample.n * np.finfo(np.float64).eps * mean:
+        raise DomainError(f"sample mean exceeds 1 by {mean - 1.0:.3g}, within its "
+                          "rounding error; the shape cannot be estimated")
+    return sample
+
+
 def estimate_mle(sample) -> ShapeEstimate:
     """Maximum likelihood estimate n / sum(log x_j)."""
-    sample = _as_sample(sample)
+    sample = _estimable(sample)
     return ShapeEstimate(float(mle_rows(sample.values[None, :])[0]),
                          EstimatorMethod.MLE, sample.n)
 
 
 def estimate_mme(sample) -> ShapeEstimate:
     """Moment estimate mean/(mean - 1), from matching the model mean."""
-    sample = _as_sample(sample)
+    sample = _estimable(sample)
     return ShapeEstimate(float(mme_rows(sample.values[None, :])[0]),
                          EstimatorMethod.MME, sample.n)
 
@@ -76,7 +90,7 @@ def pivotal_transform(sample) -> Sample:
     """
     sample = _as_sample(sample)
     est = estimate_mle(sample)
-    return Sample(np.power(sample.values, est.value))
+    return Sample(_row_power(sample.values[None, :], np.full((1, 1), est.value))[0])
 
 
 def mle_rows(x: np.ndarray) -> np.ndarray:

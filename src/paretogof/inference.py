@@ -28,10 +28,11 @@ Replication ``r`` of any loop owns a fixed substream of the supplied
 bit for bit regardless of execution order or worker count.
 
 Every route draws, estimates, transforms and evaluates its rows in chunks of
-about ``2**16 / n`` rows, never one row unless the whole block has one, and
-joins the statistic columns in row order before any quantile or p-value reads
-them. Each chunk draws its rows' own substreams: only the statistic columns
-grow with the replication count, and every number equals a whole-block run.
+about ``2**16 / n`` rows and joins the statistic columns in row order before
+any quantile or p-value reads them. Each chunk draws its rows' own
+substreams, and every row-wise power is evaluated the same way in a block of
+any size, so only the statistic columns grow with the replication count and
+every number equals a whole-block run.
 
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes
@@ -56,6 +57,7 @@ from .distributions import (
     MixtureSpec,
     RandomStream,
     _as_sample,
+    _row_power,
     alternative_rows,
     bootstrap_rows,
     pareto_rows,
@@ -134,7 +136,7 @@ def _decision_stats(kinds, x: np.ndarray, b: np.ndarray, estimator: EstimatorMet
     the pivotal transform at shape one on the MLE route, the plug-in value on
     the MME route."""
     if estimator is EstimatorMethod.MLE:
-        return statistic_rows(kinds, x ** b[:, None], 1.0)
+        return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0)
     return statistic_rows(kinds, x, b)
 
 
@@ -144,17 +146,14 @@ def _row_blocks(block, reps: int, n: int) -> tuple:
     ``block`` draws, estimates and evaluates rows ``lo`` to ``hi`` and returns
     a tuple of dicts, kind to per-row statistics; the result is that tuple
     with every column over all ``reps`` rows, in row order. A chunk holds the
-    sampler's word budget, ``_PHILOX_BLOCK // n`` rows but at least 2, and a
-    1-row tail joins the chunk before it: numpy evaluates ``x ** -1`` on a
-    one-row block differently in the last bit, and every kernel is otherwise
+    sampler's word budget, ``_PHILOX_BLOCK // n`` rows but at least one, and
+    the last chunk what is left. Every sampler, estimator and kernel is
     row-independent, so the columns equal one whole-block evaluation.
     """
-    rows = max(2, _PHILOX_BLOCK // max(n, 1))
-    starts = list(range(0, reps, rows))
-    if len(starts) > 1 and reps - starts[-1] == 1:
-        starts.pop()
+    rows = max(1, _PHILOX_BLOCK // max(n, 1))
     out = None
-    for lo, hi in zip(starts, starts[1:] + [reps]):
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
         part = block(lo, hi)
         if out is None:
             out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)

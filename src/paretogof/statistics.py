@@ -24,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import DomainError, _as_sample, _check_beta
-from .estimation import mle_rows
+from .distributions import DomainError, _as_sample, _check_beta, _row_power
+from .estimation import estimate_mle, mle_rows
 
 __all__ = [
     "TestTag",
@@ -184,7 +184,7 @@ def order_weights(n: int) -> np.ndarray:
 
 def _edf_sorted(xs: np.ndarray, beta_col: np.ndarray):
     """Clamped model CDF at the sorted values, plus a per-row clamp indicator."""
-    f = 1.0 - xs ** (-beta_col)
+    f = 1.0 - _row_power(xs, -beta_col)
     hit = (f < _CLAMP_EPS) | (f > 1.0 - _CLAMP_EPS)
     return np.clip(f, _CLAMP_EPS, 1.0 - _CLAMP_EPS), hit.any(axis=1)
 
@@ -232,8 +232,8 @@ def _mp1_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     b = beta[:, None]
     w = _order_weights(n)
-    t1 = (2.0 / (3.0 * n)) * np.sum(x ** (-1.5 * b), axis=1)
-    t2 = np.sum(w * xs ** (-0.5 * b), axis=1) / n**2
+    t1 = (2.0 / (3.0 * n)) * np.sum(_row_power(x, -1.5 * b), axis=1)
+    t2 = np.sum(w * _row_power(xs, -0.5 * b), axis=1) / n**2
     return t1 - t2 + 8.0 / 15.0
 
 
@@ -241,10 +241,10 @@ def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     n = x.shape[1]
     b = beta[:, None]
     w = _order_weights(n)
-    pw = xs ** (-b)
+    pw = _row_power(xs, -b)
     t1 = np.sum(w * pw, axis=1) / n**2
     t2 = beta / n**2 * np.sum(w * pw * np.log(xs), axis=1)
-    x2 = x ** (-2.0 * b)
+    x2 = _row_power(x, -2.0 * b)
     t3 = beta / n * np.sum((1.0 - x2) / (2.0 * b) - x2 * np.log(x), axis=1)
     return 10.0 / 9.0 - t1 - t2 - t3
 
@@ -483,5 +483,4 @@ def exp_edf_suite(sample) -> list:
     The fitted rate appears as ``beta_used`` on each result.
     """
     sample = _as_sample(sample)
-    lam = float(mle_rows(sample.values[None, :])[0])
-    return _single(EXP_KINDS, sample, None, lam)
+    return _single(EXP_KINDS, sample, None, estimate_mle(sample).value)

@@ -158,6 +158,18 @@ def test_nonpositive_scale_exits_four(null_file, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "DATA", "--alpha", "2"], ["test", "DATA", "--alpha", "0"],
+    ["critical-values", "--alpha", "0"], ["critical-values", "--alpha", "0.05", "1.5"],
+], ids=["test-2", "test-0", "critical-values-0", "critical-values-1.5"])
+def test_alpha_outside_the_unit_interval_is_a_usage_error(argv, null_file, capsys):
+    # an option value outside its domain, like --tuning-a 0; not a data error
+    with pytest.raises(SystemExit) as exc:
+        main([str(null_file) if a == "DATA" else a for a in argv] + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "alpha must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_exponentiality_tests_on_the_moment_route_exit_four(null_file, capsys):
     code = main(["test", str(null_file), "--seed", "1", "--b", "10",
                  "--tests", "exp-ks"])  # default estimator is mme
@@ -383,6 +395,11 @@ def test_cmd_power_bad_config_file_exits_three(tmp_path, capsys):
         conf.write_text(json.dumps({"tests": tests, "alternatives": alternatives,
                                     "sample_sizes": [10], "desk_scale": 0.1}))
         assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
+    for content in ([1, 2], 3, "tests"):  # JSON, but not an object of fields
+        conf.write_text(json.dumps(content))
+        capsys.readouterr()
+        assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
+        assert f"{conf}: " in capsys.readouterr().err
 
 
 def test_cmd_power_bad_alternative_token_is_a_usage_error():

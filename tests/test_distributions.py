@@ -308,6 +308,18 @@ def test_bootstrap_rows_use_per_row_shapes():
         np.testing.assert_array_equal(rows[r], expect)
 
 
+@pytest.mark.parametrize("n", [20, 1000])
+def test_bootstrap_rows_at_shape_one_do_not_depend_on_the_block(n):
+    # at a shape of exactly one the quantile raises to exactly -1, which numpy
+    # computes differently on a one-row block unless the exponent is
+    # materialised
+    stream = RandomStream(23, 8)
+    many = bootstrap_rows(np.ones(5), n, stream, offset=4)
+    for r in (0, 2, 4):
+        one = bootstrap_rows(np.ones(1), n, stream, offset=4 + r)
+        np.testing.assert_array_equal(one[0], many[r])
+
+
 def test_bootstrap_rows_validation():
     stream = RandomStream(23, 0)
     with pytest.raises(DomainError):

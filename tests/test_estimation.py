@@ -8,17 +8,22 @@ from hypothesis import assume, given, strategies as st
 
 from paretogof import (
     DomainError,
+    KS,
     EstimatorMethod,
     RandomStream,
     Sample,
     ShapeEstimate,
+    Tour,
+    bootstrap_pvalue_many,
     estimate_mle,
     estimate_mme,
     estimate_shape,
+    golf_dataset,
     pareto_sample,
     pivotal_transform,
 )
 from paretogof.estimation import mle_rows, mme_rows
+from paretogof.statistics import exp_edf_suite
 
 E = math.e
 
@@ -59,6 +64,38 @@ def test_estimators_reject_invalid_samples():
         estimate_mle([2.0, 0.5])
     with pytest.raises(DomainError):
         estimate_mme([])
+
+
+@pytest.mark.parametrize("method", ["mle", "mme"])
+def test_a_shape_that_rounding_dominates_is_refused_at_every_seed(method):
+    # 28 values 1 + k * 2**-52: the mean exceeds one by about 15 ulps, so a
+    # shape estimate (about 3e14) is rounding noise. Without the rule, whether
+    # the bootstrap's support redraws gave up depended on the seed.
+    s = Sample(1.0 + np.arange(1, 29) * 2.0**-52)
+    messages = set()
+    for seed in range(4):
+        with pytest.raises(DomainError, match="rounding error") as exc:
+            bootstrap_pvalue_many([KS], method, s, 200, RandomStream(seed))
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+    with pytest.raises(DomainError, match="rounding error"):
+        estimate_shape(s, method)
+    with pytest.raises(DomainError, match="rounding error"):
+        exp_edf_suite(s)  # its rate is the MLE
+
+
+def test_real_data_is_not_refused_as_rounding_noise():
+    # the golf data, and the n = 1000 Pareto(2.5) inputs that the benchmark
+    # writes for its large-n test (numpy's Lomax law plus one)
+    samples = [golf_dataset(t).sample for t in Tour]
+    for seed in range(11):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 2, 1]))
+        samples.append(Sample(1.0 + rng.pareto(2.5, 1000)))
+    for s in samples:
+        assert estimate_mle(s).value > 0 and estimate_mme(s).value > 0
+        pivotal_transform(s)
+    # a mean that overflows is far from one: the MLE still exists
+    assert estimate_mle(Sample([1e308, 1e308])).value == 1.0 / math.log(1e308)
 
 
 def test_both_estimators_are_consistent_on_large_null_samples():

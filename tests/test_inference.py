@@ -24,6 +24,7 @@ from paretogof import (
     MP2,
     PARETO_KINDS,
     RandomStream,
+    Sample,
     StudyConfig,
     UnsupportedPathError,
     bootstrap_pvalue,
@@ -418,11 +419,13 @@ def test_degenerate_moment_estimates_raise_and_fail_the_cell(monkeypatch):
 # row chunks
 
 
+_ROW_BLOCKS = inference._row_blocks
+
+
 def _chunks_of(monkeypatch, rows, n):
     """Chunk every route's rows ``rows`` at a time; record the chunk sizes and
     the statistic columns the chunk map returns."""
     monkeypatch.setattr(inference, "_PHILOX_BLOCK", rows * n)
-    real = inference._row_blocks
     seen = {"sizes": [], "columns": []}
 
     def spy(block, reps, n):
@@ -430,12 +433,17 @@ def _chunks_of(monkeypatch, rows, n):
             seen["sizes"].append(hi - lo)
             return block(lo, hi)
 
-        out = real(counted, reps, n)
+        out = _ROW_BLOCKS(counted, reps, n)
         seen["columns"].append(out)
         return out
 
     monkeypatch.setattr(inference, "_row_blocks", spy)
     return seen
+
+
+def _sizes(rows, reps):
+    # full chunks, then what is left, even a single row
+    return [rows] * (reps // rows) + [reps % rows] * (reps % rows > 0)
 
 
 def _decision_oracle(kinds, x, b, estimator):
@@ -453,6 +461,8 @@ def _assert_columns(got, want):
 
 @pytest.mark.parametrize("reps", range(1, 12))
 def test_row_blocks_cover_every_row_once_and_never_one_alone(reps):
+    # every row once, in order, in 3-row chunks and a shorter last one; the
+    # name is historical: a 1-row tail is now a chunk of its own
     seen = []
 
     def block(lo, hi):
@@ -463,19 +473,16 @@ def test_row_blocks_cover_every_row_once_and_never_one_alone(reps):
     assert np.array_equal(out[0]["r"], np.arange(reps))
     assert [lo for lo, _ in seen] == [0] + [hi for _, hi in seen[:-1]]
     assert seen[-1][1] == reps
-    sizes = [hi - lo for lo, hi in seen]
-    assert min(sizes) >= 2 or reps == 1
-    assert max(sizes) <= 4  # three rows, or four where a 1-row tail joined
+    assert [hi - lo for lo, hi in seen] == _sizes(3, reps)
 
 
-@pytest.mark.parametrize("rows, reps", [(2, 1001), (3, 1000)])
+@pytest.mark.parametrize("rows, reps", [(1, 1000), (2, 1001), (3, 1000)])
 def test_null_critical_values_equal_one_whole_block(rows, reps, monkeypatch):
-    # reps leaves a 1-row tail, which the map folds into the chunk before it
+    # 1-row chunks, or reps that leave a 1-row tail
     n, stream, alphas = 20, RandomStream(611, 0), [0.01, 0.05, 0.10]
-    assert reps % rows == 1
     seen = _chunks_of(monkeypatch, rows, n)
     table = null_critical_values(ALL_KINDS, n, alphas, reps, stream)
-    assert min(seen["sizes"]) >= 2 and len(seen["sizes"]) == reps // rows
+    assert seen["sizes"] == _sizes(rows, reps) and seen["sizes"][-1] == 1
     x = pareto_rows(1.0, n, reps, stream)
     want = _decision_oracle(ALL_KINDS, x, mle_rows(x), MLE)
     _assert_columns(seen["columns"][0][0], want)
@@ -489,14 +496,15 @@ def test_power_fixed_critical_equals_one_whole_block(monkeypatch):
     table = CriticalValueTable(reps=1000, seed=0)
     for k in ALL_KINDS:
         table.put(k, MLE, n, 0.05, 0.5)
-    seen = _chunks_of(monkeypatch, 3, n)
-    got = power_fixed_critical_many(ALL_KINDS, GAMMA12, n, 0.05, reps, table, stream)
-    assert min(seen["sizes"]) >= 2
     x = alternative_rows(GAMMA12, n, reps, stream)
     want = _decision_oracle(ALL_KINDS, x, mle_rows(x), MLE)
-    _assert_columns(seen["columns"][0][0], want)
-    for k in ALL_KINDS:
-        assert got[k].power == float(np.mean(want[k] > 0.5))
+    for rows in (3, 1):
+        seen = _chunks_of(monkeypatch, rows, n)
+        got = power_fixed_critical_many(ALL_KINDS, GAMMA12, n, 0.05, reps, table, stream)
+        assert seen["sizes"] == _sizes(rows, reps)
+        _assert_columns(seen["columns"][0][0], want)
+        for k in ALL_KINDS:
+            assert got[k].power == float(np.mean(want[k] > 0.5))
 
 
 @pytest.mark.parametrize("alt", [NULL2, GAMMA12], ids=["philox", "ziggurat"])
@@ -506,21 +514,22 @@ def test_warp_speed_power_equals_one_whole_block(alt, estimator, monkeypatch):
     # 2*lo + 1, step 2: the interleaving of one whole-block run
     n, reps, stream = 20, 301, RandomStream(611, 2)
     kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
-    seen = _chunks_of(monkeypatch, 3, n)
-    got = warp_speed_power_many(kinds, estimator, alt, n, 0.05, reps, stream)
-    assert min(seen["sizes"]) >= 2
     est = mle_rows if estimator is MLE else mme_rows
     x = alternative_rows(alt, n, reps, stream, 0, 2)
     b = est(x)
     xb = bootstrap_rows(b, n, stream, 1, 2)
     want = _decision_oracle(kinds, x, b, estimator)
     want_boot = _decision_oracle(kinds, xb, est(xb), estimator)
-    stats, boot = seen["columns"][0]
-    _assert_columns(stats, want)
-    _assert_columns(boot, want_boot)
-    for k in kinds:
-        crit = upper_quantile(want_boot[k], 0.05)
-        assert got[k].power == float(np.mean(want[k] > crit))
+    for rows in (3, 1):
+        seen = _chunks_of(monkeypatch, rows, n)
+        got = warp_speed_power_many(kinds, estimator, alt, n, 0.05, reps, stream)
+        assert seen["sizes"] == _sizes(rows, reps)
+        stats, boot = seen["columns"][0]
+        _assert_columns(stats, want)
+        _assert_columns(boot, want_boot)
+        for k in kinds:
+            crit = upper_quantile(want_boot[k], 0.05)
+            assert got[k].power == float(np.mean(want[k] > crit))
 
 
 @pytest.mark.parametrize("estimator", [MME, MLE], ids=["mme", "mle"])
@@ -528,16 +537,47 @@ def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
     s = pareto_sample(2.0, 20, RandomStream(611, 3))
     B, stream = 301, RandomStream(611, 4)
     kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
-    seen = _chunks_of(monkeypatch, 3, s.n)
-    got = bootstrap_pvalue_many(kinds, estimator, s, B, stream)
-    assert min(seen["sizes"]) >= 2
     est = mle_rows if estimator is MLE else mme_rows
     xb = bootstrap_rows(np.full(B, estimate_shape(s, estimator).value), s.n, stream)
     want = _decision_oracle(kinds, xb, est(xb), estimator)
-    _assert_columns(seen["columns"][0][0], want)
+    for rows in (3, 1):
+        seen = _chunks_of(monkeypatch, rows, s.n)
+        got = bootstrap_pvalue_many(kinds, estimator, s, B, stream)
+        assert seen["sizes"] == _sizes(rows, B)
+        _assert_columns(seen["columns"][0][0], want)
+        for res in got:
+            count = int(np.sum(want[res.kind] >= res.decision_statistic))
+            assert res.p_value == (1.0 + count) / (B + 1.0)
+
+
+def _sample_with_mle(target, n, seed):
+    """A sample whose MLE is exactly ``target``: n - 1 Pareto draws, and a
+    last value stepped ulp by ulp until n / sum(log x) rounds to ``target``."""
+    x = pareto_sample(target, n, RandomStream(612, seed)).values.copy()
+    x[-1] = np.exp(n / target - np.sum(np.log(x[:-1])))
+    for _ in range(64):
+        b = mle_rows(x[None, :])[0]
+        if b == target:
+            return x
+        x[-1] = np.nextafter(x[-1], np.inf if b > target else 1.0)
+    return None
+
+
+def test_a_sample_with_mle_one_half_is_evaluated_as_a_row_of_any_block():
+    # at an MLE of exactly 0.5 the pivotal transform raises to 0.5, and at
+    # shape one the EDF kernels raise to -1: exponents numpy computes
+    # differently on a one-row block unless the exponent is materialised
+    n, x = 20, _sample_with_mle(0.5, 20, 0)
+    assert x is not None
+    block = np.vstack([x, pareto_rows(0.5, n, 4, RandomStream(612, 99))])
+    b = mle_rows(block)
+    assert b[0] == 0.5
+    y = block ** b[:, None]
+    assert np.array_equal(paretogof.pivotal_transform(Sample(x)).values, y[0])
+    want = statistic_rows(ALL_KINDS, y, 1.0)
+    got = bootstrap_pvalue_many(ALL_KINDS, MLE, Sample(x), 50, RandomStream(612, 1))
     for res in got:
-        count = int(np.sum(want[res.kind] >= res.decision_statistic))
-        assert res.p_value == (1.0 + count) / (B + 1.0)
+        assert res.decision_statistic == want[res.kind][0], res.kind
 
 
 _PEAK_PROBE = """
