@@ -122,6 +122,16 @@ def _tuning_constant(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _level(text: str) -> float:
     try:
         return _check_alpha(float(text))
@@ -293,7 +303,10 @@ def cmd_power(args) -> int:
                                               one=True),
         master_seed=args.seed,
     )
-    jobs = args.jobs or int(os.environ.get(_JOBS_ENV, "1"))
+    try:
+        jobs = args.jobs or _positive_int(os.environ.get(_JOBS_ENV, "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"${_JOBS_ENV}: {exc}") from None
     out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,11 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--alternatives", nargs="+", type=_parse_alternative, default=None,
                        metavar="FAMILY:THETA",
                        help="e.g. gamma:1.2 tiltedpareto:3 expmix:0.5 (default: full grid)")
-    p_pow.add_argument("--scale-factor", type=float, default=None,
+    scale = p_pow.add_mutually_exclusive_group()
+    scale.add_argument("--scale-factor", type=float, default=None,
                        help="replication desk-scale factor (default 0.1)")
-    p_pow.add_argument("--full", action="store_true",
+    scale.add_argument("--full", action="store_true",
                        help="publication-scale replication counts (scale factor 1)")
-    p_pow.add_argument("--jobs", type=int, default=None,
+    p_pow.add_argument("--jobs", type=_positive_int, default=None,
                        help=f"parallel workers (default ${_JOBS_ENV} or 1)")
     p_pow.add_argument("--config", default=None,
                        help="JSON file with StudyConfig fields; flags override")

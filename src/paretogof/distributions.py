@@ -119,13 +119,16 @@ def _philox_uniforms(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
     ``ids`` is a uint64 array. Each row is keyed by the words
     ``(ids[i], seed)``; its block counters run 1..ceil(n/4), and each
     64-bit output word becomes the double ``(word >> 11) * 2**-53``. Rows are
-    drawn in passes of at most ``_PHILOX_BLOCK`` words.
+    drawn in passes of ``_PHILOX_BLOCK // n`` rows but at least one, the rule
+    by which the inference routes chunk their rows, so a route's chunk is one
+    pass. For n within the budget a pass holds at most ``1 + 3/n`` times the
+    budget in words.
     """
     blocks = -(-n // 4)
     out = np.empty((ids.size, n), dtype=np.float64)
     ctr = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
     zero = np.zeros((1, 1), dtype=np.uint64)
-    per_pass = max(1, _PHILOX_BLOCK // (4 * blocks))
+    per_pass = max(1, _PHILOX_BLOCK // n)
     for lo in range(0, ids.size, per_pass):
         k0, k1 = ids[lo:lo + per_pass, None], seed
         # broadcasting keeps the first two rounds at (rows + blocks) words

@@ -48,38 +48,32 @@ class ShapeEstimate:
             raise DomainError(f"estimated shape must be positive, got {self.value!r}")
 
 
-def _estimable(sample) -> Sample:
-    """The sample, unless its mean is within its rounding error (n·eps·mean)
+def estimate_mle(sample) -> ShapeEstimate:
+    """Maximum likelihood estimate n / sum(log x_j)."""
+    return estimate_shape(sample, EstimatorMethod.MLE)
+
+
+def estimate_mme(sample) -> ShapeEstimate:
+    """Moment estimate mean/(mean - 1), from matching the model mean."""
+    return estimate_shape(sample, EstimatorMethod.MME)
+
+
+def estimate_shape(sample, method: EstimatorMethod) -> ShapeEstimate:
+    """One sample's shape by the chosen estimator.
+
+    Refuses a sample whose mean is within its rounding error (n·eps·mean)
     of one, where mean - 1 and the sum of log x_j are rounding noise. A mean
-    that overflows is far from one."""
+    that overflows is far from one.
+    """
+    method = EstimatorMethod(method)
     sample = _as_sample(sample)
     with np.errstate(over="ignore"):
         mean = float(np.mean(sample.values))
     if np.isfinite(mean) and mean - 1.0 <= sample.n * np.finfo(np.float64).eps * mean:
         raise DomainError(f"sample mean exceeds 1 by {mean - 1.0:.3g}, within its "
                           "rounding error; the shape cannot be estimated")
-    return sample
-
-
-def estimate_mle(sample) -> ShapeEstimate:
-    """Maximum likelihood estimate n / sum(log x_j)."""
-    sample = _estimable(sample)
-    return ShapeEstimate(float(mle_rows(sample.values[None, :])[0]),
-                         EstimatorMethod.MLE, sample.n)
-
-
-def estimate_mme(sample) -> ShapeEstimate:
-    """Moment estimate mean/(mean - 1), from matching the model mean."""
-    sample = _estimable(sample)
-    return ShapeEstimate(float(mme_rows(sample.values[None, :])[0]),
-                         EstimatorMethod.MME, sample.n)
-
-
-def estimate_shape(sample, method: EstimatorMethod) -> ShapeEstimate:
-    method = EstimatorMethod(method)
-    if method is EstimatorMethod.MLE:
-        return estimate_mle(sample)
-    return estimate_mme(sample)
+    rows = mle_rows if method is EstimatorMethod.MLE else mme_rows
+    return ShapeEstimate(float(rows(sample.values[None, :])[0]), method, sample.n)
 
 
 def pivotal_transform(sample) -> Sample:

@@ -27,12 +27,15 @@ Replication ``r`` of any loop owns a fixed substream of the supplied
 :class:`~paretogof.distributions.RandomStream`, so results are reproducible
 bit for bit regardless of execution order or worker count.
 
-Every route draws, estimates, transforms and evaluates its rows in chunks of
-about ``2**16 / n`` rows and joins the statistic columns in row order before
-any quantile or p-value reads them. Each chunk draws its rows' own
-substreams, and every row-wise power is evaluated the same way in a block of
-any size, so only the statistic columns grow with the replication count and
-every number equals a whole-block run.
+Every route decides in one step, :func:`_decide`: pivotal statistics on the
+MLE route, plug-in ones on the MME route, each bootstrap resample refitted
+with the data's estimator. The null, fixed-critical-value and bootstrap
+routes are each one pool of decided rows, :func:`_pool`; warp speed decides
+twice per chunk. A chunk holds ``max(1, 2**16 // n)`` rows, one pass of the
+Philox kernel, and draws its rows' own substreams; every row-wise power is
+evaluated the same way in a block of any size. Only the statistic columns,
+joined in row order, grow with the replication count, and every number
+equals a whole-block run.
 
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes
@@ -52,9 +55,7 @@ import numpy as np
 
 from .distributions import (
     _PHILOX_BLOCK,
-    AlternativeSpec,
     DomainError,
-    MixtureSpec,
     RandomStream,
     _as_sample,
     _row_power,
@@ -124,22 +125,6 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 # evaluation conventions
 
 
-def _est_fn(estimator: EstimatorMethod):
-    return mle_rows if estimator is EstimatorMethod.MLE else mme_rows
-
-
-# Estimates are used as computed: on rows on the support (finite, > 1) the
-# MLE is finite and positive, and a non-finite or non-positive MME raises
-# DomainError in bootstrap_rows or in the statistics' shape check.
-def _decision_stats(kinds, x: np.ndarray, b: np.ndarray, estimator: EstimatorMethod):
-    """Statistics that decisions compare, for rows ``x`` with estimates ``b``:
-    the pivotal transform at shape one on the MLE route, the plug-in value on
-    the MME route."""
-    if estimator is EstimatorMethod.MLE:
-        return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0)
-    return statistic_rows(kinds, x, b)
-
-
 def _row_blocks(block, reps: int, n: int) -> tuple:
     """Run a route's ``reps`` rows of size ``n`` as ``block(lo, hi)`` chunks.
 
@@ -173,7 +158,7 @@ def pivotal_statistic_rows(kinds, x: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     b = mle_rows(x)
-    return _decision_stats(kinds, x, b, EstimatorMethod.MLE), b
+    return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0), b
 
 
 def plugin_statistic_rows(kinds, x: np.ndarray, estimator: EstimatorMethod):
@@ -184,27 +169,42 @@ def plugin_statistic_rows(kinds, x: np.ndarray, estimator: EstimatorMethod):
     """
     estimator = EstimatorMethod(estimator)
     x = np.asarray(x, dtype=np.float64)
-    b = _est_fn(estimator)(x)
+    b = (mle_rows if estimator is EstimatorMethod.MLE else mme_rows)(x)
     return statistic_rows(kinds, x, b), b
 
 
-def _as_kinds(kinds):
-    out = _unique_kinds(kinds)
-    if not out:
+# Estimates are used as computed: on rows on the support (finite, > 1) the
+# MLE is finite and positive, and a non-finite or non-positive MME raises
+# DomainError in bootstrap_rows or in the statistics' shape check.
+def _decide(kinds, x: np.ndarray, estimator: EstimatorMethod):
+    """``(stats, betas)`` that decisions compare for rows ``x``: pivotal at
+    shape one on the MLE route, plug-in on the MME route."""
+    if estimator is EstimatorMethod.MLE:
+        return pivotal_statistic_rows(kinds, x)
+    return plugin_statistic_rows(kinds, x, estimator)
+
+
+def _pool(kinds, estimator: EstimatorMethod, draw, reps: int, n: int) -> dict:
+    """Decision statistics, kind to column, of ``reps`` rows of size ``n``;
+    ``draw(lo, hi)`` draws rows ``lo`` to ``hi``."""
+    (stats,) = _row_blocks(lambda lo, hi: (_decide(kinds, draw(lo, hi), estimator)[0],),
+                           reps, n)
+    return stats
+
+
+def _as_kinds(kinds, estimator: EstimatorMethod = EstimatorMethod.MLE) -> list:
+    """The distinct kinds, at least one. The exponentiality kinds fit a rate
+    to log-transformed data, so only the MLE route takes them."""
+    kinds = _unique_kinds(kinds)
+    if not kinds:
         raise ValueError("need at least one test kind")
-    return out
-
-
-def _check_route(kinds, estimator: EstimatorMethod) -> EstimatorMethod:
-    estimator = EstimatorMethod(estimator)
-    if estimator is EstimatorMethod.MME:
-        for k in kinds:
-            if k.is_exponentiality:
-                raise UnsupportedPathError(
-                    f"{k.label} runs on log-transformed data with a fitted rate; "
-                    "only the MLE route applies"
-                )
-    return estimator
+    log_kinds = [k.label for k in kinds if k.is_exponentiality]
+    if EstimatorMethod(estimator) is EstimatorMethod.MME and log_kinds:
+        raise UnsupportedPathError(
+            f"{log_kinds[0]} runs on log-transformed data with a fitted rate; "
+            "only the MLE route applies"
+        )
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +278,23 @@ class CriticalValueTable:
             for row in reader:
                 if not row:
                     continue
-                tag, est, n, alpha, reps, seed, value = row
-                if ":a=" in tag:
-                    tag, _, a_txt = tag.partition(":a=")
-                    kind = TestKind(tag, float(a_txt))
-                else:
-                    kind = TestKind(tag)
-                reps, seed = int(reps), int(seed)
+                try:
+                    tag, est, n, alpha, reps, seed, value = row
+                    tag, tuned, a_txt = tag.partition(":a=")
+                    kind = TestKind(tag, float(a_txt)) if tuned else TestKind(tag)
+                    key = (kind, EstimatorMethod(est), int(n), float(alpha))
+                    reps, seed, value = int(reps), int(seed), float(value)
+                except ValueError as exc:
+                    raise ConfigurationError(
+                        f"{path}, line {reader.line_num + 1}: malformed entry {row!r} ({exc})"
+                    ) from None
                 if table is None:
                     table = cls(reps=reps, seed=seed)
                 elif (reps, seed) != (table.reps, table.seed):
                     raise ConfigurationError(
                         "critical-value file mixes entries from different runs"
                     )
-                table.put(kind, EstimatorMethod(est), int(n), float(alpha), float(value))
+                table.put(*key, value)
             if table is None:
                 raise ConfigurationError(f"critical-value file {path!r} holds no entries")
             return table
@@ -311,11 +314,8 @@ def null_critical_values(kinds, n: int, alphas, reps: int,
         raise ValueError("critical-value simulation needs reps >= 1000")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
 
-    def block(lo, hi):
-        x = pareto_rows(1.0, n, hi - lo, stream, lo)
-        return (_decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE),)
-
-    (stats,) = _row_blocks(block, reps, n)
+    stats = _pool(kinds, EstimatorMethod.MLE,
+                  lambda lo, hi: pareto_rows(1.0, n, hi - lo, stream, lo), reps, n)
     table = CriticalValueTable(reps=reps, seed=stream.seed)
     for kind in kinds:
         for alpha in alphas:
@@ -393,14 +393,6 @@ class PowerEstimate:
         return math.sqrt(p * (1.0 - p) / self.replications)
 
 
-def _check_alt(alt):
-    if not isinstance(alt, (AlternativeSpec, MixtureSpec)):
-        raise TypeError(
-            f"alternative must be AlternativeSpec or MixtureSpec, got {type(alt).__name__}"
-        )
-    return alt
-
-
 # ---------------------------------------------------------------------------
 # power estimation
 
@@ -412,20 +404,17 @@ def power_fixed_critical_many(kinds, alt, n: int, alpha: float, reps: int,
 
     MLE route: each replication is transformed by its own estimate and the
     statistic compared against the tabulated P(1) critical value. Missing
-    table entries raise :class:`ConfigurationError` before any sampling.
+    table entries raise :class:`ConfigurationError` before any sampling; an
+    ``alt`` that is no alternative spec raises ``TypeError`` at the first draw.
     """
     kinds = _as_kinds(kinds)
-    alt = _check_alt(alt)
     alpha = _check_alpha(alpha)
     if reps < 1:
         raise ValueError("reps must be at least 1")
     crit = {k: cv_table.value(k, EstimatorMethod.MLE, n, alpha) for k in kinds}
 
-    def block(lo, hi):
-        x = alternative_rows(alt, n, hi - lo, stream, lo)
-        return (_decision_stats(kinds, x, mle_rows(x), EstimatorMethod.MLE),)
-
-    (stats,) = _row_blocks(block, reps, n)
+    stats = _pool(kinds, EstimatorMethod.MLE,
+                  lambda lo, hi: alternative_rows(alt, n, hi - lo, stream, lo), reps, n)
     return {
         k: PowerEstimate(alt, k, EstimatorMethod.MLE, n, alpha,
                          float(np.mean(stats[k] > crit[k])), reps, stream.seed)
@@ -452,21 +441,17 @@ def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int
     alternative statistics above that pool's upper quantile. One bootstrap
     sample per replication is what makes 50 000-replication studies feasible.
     """
-    kinds = _as_kinds(kinds)
-    estimator = _check_route(kinds, estimator)
-    alt = _check_alt(alt)
+    kinds = _as_kinds(kinds, estimator)
+    estimator = EstimatorMethod(estimator)
     alpha = _check_alpha(alpha)
     if reps < 2:
         raise ValueError("warp-speed estimation needs at least 2 replications")
 
-    est_fn = _est_fn(estimator)
-
     def block(lo, hi):
-        x = alternative_rows(alt, n, hi - lo, stream, 2 * lo, 2)
-        b = est_fn(x)
-        xb = bootstrap_rows(b, n, stream, 2 * lo + 1, 2)
-        return (_decision_stats(kinds, x, b, estimator),
-                _decision_stats(kinds, xb, est_fn(xb), estimator))
+        stats, b = _decide(kinds, alternative_rows(alt, n, hi - lo, stream, 2 * lo, 2),
+                           estimator)
+        return stats, _decide(kinds, bootstrap_rows(b, n, stream, 2 * lo + 1, 2),
+                              estimator)[0]
 
     stats, boot = _row_blocks(block, reps, n)
     out = {}
@@ -498,23 +483,20 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
     never return an exact zero. ``B`` of at least 1000 is recommended; small
     values make the p-value resolution coarse.
     """
-    kinds = _as_kinds(kinds)
-    estimator = _check_route(kinds, estimator)
+    kinds = _as_kinds(kinds, estimator)
+    estimator = EstimatorMethod(estimator)
     if B < 1:
         raise ValueError("bootstrap needs B >= 1")
     alphas = [_check_alpha(a) for a in np.atleast_1d(alphas)]
     sample = _as_sample(sample)
     est = estimate_shape(sample, estimator)
-    x, b = sample.values[None, :], np.full(1, est.value)
-    obs_display = statistic_rows(kinds, x, b)
+    x = sample.values[None, :]
+    obs_display = statistic_rows(kinds, x, np.full(1, est.value))
     obs_decision = (obs_display if estimator is EstimatorMethod.MME
-                    else _decision_stats(kinds, x, b, estimator))
-
-    def block(lo, hi):
-        xb = bootstrap_rows(np.full(hi - lo, est.value), sample.n, stream, lo)
-        return (_decision_stats(kinds, xb, _est_fn(estimator)(xb), estimator),)
-
-    (boot,) = _row_blocks(block, B, sample.n)
+                    else _decide(kinds, x, estimator)[0])
+    boot = _pool(kinds, estimator,
+                 lambda lo, hi: bootstrap_rows(np.full(hi - lo, est.value), sample.n,
+                                               stream, lo), B, sample.n)
 
     results = []
     for k in kinds:
@@ -537,5 +519,4 @@ def bootstrap_pvalue_many(kinds, estimator, sample, B: int, stream: RandomStream
 def bootstrap_pvalue(kind, estimator, sample, B: int, stream: RandomStream,
                      alphas=DEFAULT_ALPHAS) -> TestResult:
     """Parametric-bootstrap p-value for one test on one sample."""
-    kind = kind if isinstance(kind, TestKind) else TestKind(kind)
     return bootstrap_pvalue_many([kind], estimator, sample, B, stream, alphas)[0]

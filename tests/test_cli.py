@@ -367,6 +367,31 @@ def test_cmd_power_parallel_jobs_do_not_change_results(tmp_path, capsys, monkeyp
     assert (d1 / "power_n10.csv").read_bytes() == (d2 / "power_n10.csv").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cmd_power_jobs_must_be_positive(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_power_args("--jobs", jobs))
+    assert exc.value.code == 2
+    assert f"argument --jobs: expected a positive integer, got '{jobs}'" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
+def test_cmd_power_jobs_variable_must_be_positive(value, monkeypatch, capsys):
+    monkeypatch.setenv("PARETOGOF_JOBS", value)
+    assert main(_power_args()) == 2
+    err = capsys.readouterr().err
+    assert "PARETOGOF_JOBS" in err and repr(value) in err
+
+
+def test_cmd_power_full_excludes_scale_factor(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_power_args("--full"))  # _power_args gives --scale-factor 0.1
+    assert exc.value.code == 2
+    assert "argument --full: not allowed with argument --scale-factor" in (
+        capsys.readouterr().err)
+
+
 def test_cmd_power_config_file_with_flag_precedence(tmp_path, capsys):
     conf = tmp_path / "study.json"
     conf.write_text(json.dumps({

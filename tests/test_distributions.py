@@ -390,6 +390,23 @@ def test_philox_uniforms_span_several_kernel_passes(monkeypatch):
     np.testing.assert_array_equal(_philox_uniforms(9, ids, 13), _generator_rows(9, ids, 13))
 
 
+def test_a_route_chunk_of_rows_is_one_kernel_pass(monkeypatch):
+    # the inference routes chunk _PHILOX_BLOCK // n rows; at n = 30 the kernel
+    # draws such a chunk in one pass of ten rounds, two products a round
+    import paretogof.distributions as dist
+
+    calls, mulhilo = [], dist._mulhilo
+
+    def counted(m, x):
+        calls.append(m)
+        return mulhilo(m, x)
+
+    monkeypatch.setattr(dist, "_mulhilo", counted)
+    n = 30
+    pareto_rows(1.0, n, dist._PHILOX_BLOCK // n, RandomStream(52, 0))
+    assert len(calls) == 2 * dist._PHILOX_ROUNDS == 20
+
+
 # The per-row generator formulas the uniform-driven families used before the
 # batch kernel; each family must reproduce them row for row.
 def _lfr_per_row(u, th):

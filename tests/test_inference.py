@@ -185,6 +185,24 @@ def test_table_load_rejects_foreign_and_mixed_files(tmp_path):
         CriticalValueTable.load(empty)
 
 
+@pytest.mark.parametrize("row", [
+    "KS,mle,20,0.05,1000,1",
+    "XX,mle,20,0.05,1000,1,0.3",
+    "KS,map,20,0.05,1000,1,0.3",
+    "KS,mle,20,0.05,1000,1,abc",
+    "MellinG:a=zz,mle,20,0.05,1000,1,0.3",
+], ids=["six-fields", "kind", "estimator", "value", "tuning"])
+def test_table_load_names_the_file_and_line_of_a_malformed_row(row, tmp_path):
+    path = tmp_path / "cv.csv"
+    path.write_text(
+        "paretogof-critical-values v1\nkind,estimator,n,alpha,reps,seed,value\n"
+        "KS,mle,20,0.01,1000,1,0.4\n\n" + row + "\n"  # the bad row is line 5
+    )
+    with pytest.raises(ConfigurationError) as exc:
+        CriticalValueTable.load(path)
+    assert str(exc.value).startswith(f"{path}, line 5: ")
+
+
 # ---------------------------------------------------------------------------
 # null critical values
 
@@ -262,6 +280,22 @@ def test_power_checks_the_table_before_sampling():
     with pytest.raises(ConfigurationError):
         # reps is absurd on purpose: if sampling happened first this would hang
         power_fixed_critical(KS, GAMMA12, 20, 0.05, 10**9, empty, RandomStream(604, 0))
+
+
+def test_power_routes_refuse_a_non_spec_alternative_at_the_first_draw():
+    table = CriticalValueTable(reps=1000, seed=0)
+    table.put(KS, MLE, 20, 0.05, 0.5)
+    with pytest.raises(TypeError, match="AlternativeSpec or MixtureSpec"):
+        power_fixed_critical_many([KS], "gamma:1.2", 20, 0.05, 10, table,
+                                  RandomStream(604, 5))
+    for estimator in (MLE, MME):
+        with pytest.raises(TypeError, match="AlternativeSpec or MixtureSpec"):
+            warp_speed_power_many([KS], estimator, "gamma:1.2", 20, 0.05, 10,
+                                  RandomStream(604, 6))
+    # a missing table entry is still reported first
+    with pytest.raises(ConfigurationError):
+        power_fixed_critical_many([MP2], "gamma:1.2", 20, 0.05, 10, table,
+                                  RandomStream(604, 5))
 
 
 def test_power_fixed_critical_basics(cv20):
