@@ -243,6 +243,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
+    # each size draws from its own stream, so a repeated one would be simulated
+    # again and overwrite the first with other digits
+    repeated = next((n for i, n in enumerate(args.n) if n in args.n[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"--n: size {repeated} is given more than once")
     table = CriticalValueTable(reps=args.reps, seed=args.seed)
     for i, n in enumerate(args.n):
         table.entries.update(null_critical_values(

@@ -284,6 +284,8 @@ class CriticalValueTable:
                     kind = TestKind(tag, float(a_txt)) if tuned else TestKind(tag)
                     key = (kind, EstimatorMethod(est), int(n), float(alpha))
                     reps, seed, value = int(reps), int(seed), float(value)
+                    if key[1] is not EstimatorMethod.MLE:
+                        raise ValueError("only MLE-route entries are tabulated")
                 except ValueError as exc:
                     raise ConfigurationError(
                         f"{path}, line {reader.line_num + 1}: malformed entry {row!r} ({exc})"

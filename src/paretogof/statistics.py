@@ -249,8 +249,73 @@ def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return 10.0 / 9.0 - t1 - t2 - t3
 
 
+# G by Gauss-Laguerre quadrature (see mellin_g): the node count q, the sample
+# size above which it beats the closed form, and the a-priori bound on the
+# rule's error that a row must meet to take it
+_GL_NODES = 64
+_GL_MIN_N = 40
+_GL_BOUND = 1e-10
+# (α/(α + 2))^(2q) <= bound  <=>  α <= 2 / (bound^(-1/(2q)) - 1)
+_GL_ALPHA_MAX = 2.0 / (_GL_BOUND ** (-1.0 / (2 * _GL_NODES)) - 1.0)
+
+
+@lru_cache(maxsize=1)
+def _laguerre_rule():
+    """Nodes and weights of the q-node Gauss-Laguerre rule, built on first use
+    so that importing the package does not load ``numpy.polynomial``."""
+    from numpy.polynomial.laguerre import laggauss
+
+    return laggauss(_GL_NODES)
+
+
 def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
-    """The G statistic row-wise, by the closed form in :func:`mellin_g`.
+    """The G statistic row-wise, each row by one of the two methods of
+    :func:`mellin_g`.
+
+    A row takes the Gauss-Laguerre rule when n > ``_GL_MIN_N``, every log x in
+    it is at least 0, and (α/(α + 2))^(2q) <= ``_GL_BOUND`` with
+    α = 2 max log x / (1 + a); every other row takes the closed form. The
+    choice reads the row alone, so a row has the same bits in any block.
+    The pair check runs first, for every row.
+    """
+    m, n = x.shape
+    lx = np.log(x)
+    c = 1.0 + a
+    lo = lx.min(axis=1)
+    if np.any(c + 2.0 * lo <= 0.0):
+        raise DomainError("1 + a + log x_j + log x_k must be positive for every pair")
+    if n <= _GL_MIN_N:
+        return _mellin_closed(lx, beta, c)
+    quad = (lo >= 0.0) & (2.0 * lx.max(axis=1) / c <= _GL_ALPHA_MAX)
+    if quad.all():
+        return _mellin_laguerre(lx, beta, c)
+    if not quad.any():
+        return _mellin_closed(lx, beta, c)
+    out = np.empty(m)
+    out[quad] = _mellin_laguerre(lx[quad], beta[quad], c)
+    out[~quad] = _mellin_closed(lx[~quad], beta[~quad], c)
+    return out
+
+
+def _mellin_laguerre(lx: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
+    """G ≈ (n/c) Σ_i w_i ((β + t_i) M_n(t_i) - β)² with t_i = u_i / c.
+
+    One (rows, n) buffer is reused for exp(-t_i log x) at every node, so a
+    row costs n·q exponentials.
+    """
+    n = lx.shape[1]
+    buf = np.empty_like(lx)
+    acc = np.zeros(lx.shape[0])
+    for u, w in zip(*_laguerre_rule()):
+        t = u / c
+        np.multiply(lx, -t, out=buf)
+        d = (beta + t) * (np.exp(buf, out=buf).sum(axis=1) / n) - beta
+        acc += w * (d * d)
+    return n / c * acc
+
+
+def _mellin_closed(lx: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
+    """G by the closed form of :func:`mellin_g`, given log x and c = 1 + a.
 
     The pair sum runs over j < k one column j at a time. Column j's
     (rows, n - 1 - j) slab is a contiguous view into one of two scratch
@@ -260,11 +325,7 @@ def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
     Fresh slabs above the allocator's mmap threshold would be mapped,
     zero-filled page by page and unmapped again on every column.
     """
-    m, n = x.shape
-    lx = np.log(x)
-    c = 1.0 + a
-    if np.any(c + 2.0 * lx.min(axis=1) <= 0.0):
-        raise DomainError("1 + a + log x_j + log x_k must be positive for every pair")
+    m, n = lx.shape
     b = beta[:, None]
     b2 = b * b
     two_b = 2.0 * b
@@ -453,16 +514,16 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
 
     Measures n ∫ ((β + t) M_n(t) - β)² w(t) dt where M_n(t) is the empirical
     Mellin transform (1/n) Σ X_j^(-t); under the model the population version
-    of (β + t) M(t) is the constant β. Expanding the square gives, with
-    c = 1 + a, r_j = c + log X_j and h(s) = ∫ (β + t)² exp(-s t) dt
-    = β²/s + 2β/s² + 2/s³,
+    of (β + t) M(t) is the constant β. Every c + log X_j + log X_k, with
+    c = 1 + a, must be positive. Each sample takes one of two methods.
+
+    The closed form expands the square. With r_j = c + log X_j and
+    h(s) = ∫ (β + t)² exp(-s t) dt = β²/s + 2β/s² + 2/s³,
 
         G = (1/n) Σ_jk h(r_j + log X_k) - 2β Σ_j (β/r_j + 1/r_j²) + nβ²/c.
 
     The pair sum is symmetric, so it is evaluated over j <= k only, the
     off-diagonal pairs counted twice: about n²/2 terms, O(n²) per sample.
-    Every c + log X_j + log X_k must be positive.
-
     The pairs are taken one column at a time, and every column's terms are
     written into the same two scratch buffers. Fresh per-column temporaries
     would be large enough for the allocator to map and unmap them each time:
@@ -470,6 +531,29 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
     440 000 minor page faults and 1.3–1.6 s per evaluation, against about
     2 300 faults and 0.49 s with the reused buffers. The values are
     bit-identical.
+
+    The quadrature takes the q = 64-node Gauss-Laguerre rule (u_i, w_i)
+    (Golub & Welsch 1969) with t_i = u_i / c:
+
+        G ≈ (n/c) Σ_i w_i ((β + t_i) M_n(t_i) - β)²,
+
+    n·q exponentials per sample. Its terms are squares, so nothing cancels,
+    whereas the closed form loses digits where G is small next to β²; on
+    adversarial rows against an mpmath integral of the definition, the
+    quadrature stayed within 3·10⁻¹¹ relative and the closed form was off by
+    up to 4·10⁻⁵. The rule needs the spread of log X to be small next to c,
+    so a sample takes it only when all of these hold:
+
+    - n > 40, the crossover: at the chunk sizes of a Monte Carlo run on
+      2 vCPUs, the closed form took 0.77–0.86 of the quadrature's time at
+      n = 30, 0.94–0.99 at 38, 1.03–1.10 at 40 and 25 times it at 1000;
+    - every log X_j >= 0;
+    - (α/(α + 2))^(2q) <= 10⁻¹⁰ with α = 2 max log X / c, an a-priori bound
+      on the rule's error for exp(-α u) (max X below about e^(5c)).
+
+    Up to n = 40 G is the closed form, bit for bit as before. Null pivotal
+    samples at n = 1000 and raw Pareto(2.5) samples at their moment estimate
+    nearly all qualify; raw Pareto(0.3) samples at a <= 1 do not.
     """
     kind = MELLIN_G if a == 1.0 else TestKind(TestTag.MELLIN_G, a)
     return _single_pareto(kind, sample, beta)

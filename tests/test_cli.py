@@ -319,6 +319,14 @@ def test_cmd_critical_values_saves_a_loadable_table(tmp_path, capsys):
     assert table.seed == 11
 
 
+def test_cmd_critical_values_refuses_a_repeated_size(capsys):
+    # each size has its own stream; a repeat would be simulated again and its
+    # later value printed for both
+    assert main(["critical-values", "--n", "5", "7", "5", "--reps", "1000",
+                 "--tests", "ks", "--seed", "1"]) == 2
+    assert "size 5 is given more than once" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # power subcommand
 

@@ -191,7 +191,8 @@ def test_table_load_rejects_foreign_and_mixed_files(tmp_path):
     "KS,map,20,0.05,1000,1,0.3",
     "KS,mle,20,0.05,1000,1,abc",
     "MellinG:a=zz,mle,20,0.05,1000,1,0.3",
-], ids=["six-fields", "kind", "estimator", "value", "tuning"])
+    "KS,mme,20,0.05,1000,1,0.3",
+], ids=["six-fields", "kind", "estimator", "value", "tuning", "mme-route"])
 def test_table_load_names_the_file_and_line_of_a_malformed_row(row, tmp_path):
     path = tmp_path / "cv.csv"
     path.write_text(

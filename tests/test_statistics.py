@@ -44,8 +44,15 @@ from paretogof import (
     za,
 )
 from paretogof.distributions import pareto_rows
-from paretogof.estimation import mle_rows
-from paretogof.statistics import exp_edf_suite, order_weights, statistic_rows
+from paretogof.estimation import mle_rows, mme_rows
+from paretogof.statistics import (
+    _GL_MIN_N,
+    _mellin_closed,
+    _mellin_laguerre,
+    exp_edf_suite,
+    order_weights,
+    statistic_rows,
+)
 from oracles import mellin_g_by_integral, mp1_by_quadrature, mp2_by_quadrature
 
 
@@ -287,6 +294,143 @@ def test_mellin_g_pair_loop_does_not_fault_per_column():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 50_000
+
+
+_FALLBACK_PROBE = """
+import resource
+import numpy as np
+from paretogof.statistics import MELLIN_G, _mellin_closed, statistic_rows
+x = (1.0 - np.random.default_rng(507).random((150, 1000))) ** (-1.0 / 0.3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+g = statistic_rows([MELLIN_G], x, 1.0)[MELLIN_G]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(np.array_equal(g, _mellin_closed(np.log(x), np.ones(150), 2.0)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts Linux minor page faults")
+def test_mellin_g_pair_loop_does_not_fault_per_column_on_heavy_tailed_rows():
+    # Pareto(0.3) rows spread log x too far for the quadrature, so every row
+    # takes the closed form's pair loop, which the probe above no longer
+    # reaches at n = 1000
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults, closed = proc.stdout.split()
+    assert closed == "True"
+    assert int(faults) < 50_000
+
+
+# G by Gauss-Laguerre quadrature above the crossover. The gate on every row:
+# no worse against the integral oracle than 1e-10 or the closed form's own
+# error on that row, whichever is larger.
+
+_GL_KINDS = ("pivotal", "pareto0.3-mle", "pareto2.5-mme", "near1-mle", "near1-mme")
+
+
+def _gl_battery(n):
+    """Adversarial rows at size n and the shape each is evaluated at: a
+    pivotal row at shape one; a raw Pareto(0.3) row at its MLE, whose log x
+    spreads too far for the quadrature at a <= 1; a raw Pareto(2.5) row at
+    its MME; and two raw Pareto(50) rows, x within a few percent of 1, at
+    their MLE and MME."""
+    p = pareto_rows(1.5, n, 1, RandomStream(511, 0))
+    heavy = pareto_rows(0.3, n, 1, RandomStream(511, 1))
+    mid = pareto_rows(2.5, n, 1, RandomStream(511, 2))
+    near = pareto_rows(50.0, n, 2, RandomStream(511, 3))
+    x = np.vstack([p ** mle_rows(p)[:, None], heavy, mid, near])
+    beta = np.concatenate([[1.0], mle_rows(heavy), mme_rows(mid),
+                           mle_rows(near[:1]), mme_rows(near[1:])])
+    return x, beta
+
+
+def _check_gl_rows(n, cases):
+    """Each (row kind, a) case against the oracle; the whole battery is one
+    block per a, so qualifying and falling-back rows are mixed."""
+    x, beta = _gl_battery(n)
+    lx = np.log(x)
+    for a in sorted({a for _, a in cases}):
+        kind = TestKind(TestTag.MELLIN_G, a)
+        got = statistic_rows([kind], x, beta)[kind]
+        closed = _mellin_closed(lx, beta, 1.0 + a)
+        for name, case_a in cases:
+            if case_a != a:
+                continue
+            i = _GL_KINDS.index(name)
+            ref = mellin_g_by_integral(x[i], beta[i], a)
+            closed_err = abs(closed[i] / ref - 1.0)
+            assert abs(got[i] / ref - 1.0) <= max(1e-10, closed_err), (n, name, a)
+
+
+_GL_ALL = [(name, a) for name in _GL_KINDS for a in (0.1, 1.0, 5.0)]
+
+
+@pytest.mark.parametrize("n, cases", [
+    (_GL_MIN_N + 1, _GL_ALL),
+    (200, [("pivotal", 1.0), ("near1-mme", 5.0)]),
+], ids=["crossover", "200"])
+def test_mellin_g_quadrature_rows_match_the_integral(n, cases):
+    _check_gl_rows(n, cases)
+
+
+@pytest.mark.skipif(os.environ.get("PARETOGOF_FULL_SCALE") != "1",
+                    reason="about 4 minutes of oracle integrals; "
+                           "set PARETOGOF_FULL_SCALE=1 to run")
+@pytest.mark.parametrize("n", [200, 1000])
+def test_mellin_g_quadrature_rows_match_the_integral_full_battery(n):
+    _check_gl_rows(n, _GL_ALL)
+
+
+@pytest.mark.parametrize("n", [_GL_MIN_N + 1, 1000])
+def test_mellin_g_method_is_chosen_by_the_row_alone(n):
+    # the heavy-tailed row falls back to the closed form at a = 1 and the
+    # others take the quadrature; each row of the mixed block has the bits of
+    # its own 1-row evaluation, and the fallback row those of the closed form
+    x, beta = _gl_battery(n)
+    lx = np.log(x)
+    got = statistic_rows([MELLIN_G], x, beta)[MELLIN_G]
+    closed = _mellin_closed(lx, beta, 2.0)
+    quad = _mellin_laguerre(lx, beta, 2.0)
+    for i, name in enumerate(_GL_KINDS):
+        one = statistic_rows([MELLIN_G], x[i:i + 1], beta[i:i + 1])[MELLIN_G]
+        assert got[i] == one[0], name
+        want = closed if name == "pareto0.3-mle" else quad
+        assert got[i] == want[i], name
+
+
+def test_mellin_g_at_the_crossover_and_below_is_the_closed_form():
+    # n <= _GL_MIN_N keeps today's kernel bit for bit, so tabulated critical
+    # values at n = 20 and 30 do not move
+    for n in (20, 30, _GL_MIN_N):
+        x = pareto_rows(2.0, n, 50, RandomStream(512, n))
+        b = mle_rows(x)
+        got = statistic_rows([MELLIN_G], x, b)[MELLIN_G]
+        assert np.array_equal(got, _mellin_closed(np.log(x), b, 2.0))
+
+
+def test_mellin_g_quadrature_nodes_load_on_first_use():
+    # numpy.polynomial is not loaded by importing numpy; the CLI's start-up
+    # and a critical-value run at n = 20 must not pay for it
+    code = (
+        "import sys\n"
+        "import paretogof.cli\n"
+        "from paretogof.cli import main\n"
+        "main(['critical-values', '--n', '20', '--reps', '1000', '--seed', '1'])\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "import numpy as np\n"
+        "from paretogof.statistics import MELLIN_G, statistic_rows\n"
+        "statistic_rows([MELLIN_G], np.full((1, 1000), 2.0), 1.0)\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+    )
+    src = Path(paretogof.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["False", "True"]
 
 
 def test_mellin_g_routes_differ():
