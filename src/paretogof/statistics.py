@@ -270,13 +270,13 @@ def _laguerre_rule():
 
 def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
     """The G statistic row-wise, each row by one of the two methods of
-    :func:`mellin_g`.
+    :func:`mellin_g`: the closed form or the q = 64-node Gauss-Laguerre rule.
 
-    A row takes the Gauss-Laguerre rule when n > ``_GL_MIN_N``, every log x in
-    it is at least 0, and (α/(α + 2))^(2q) <= ``_GL_BOUND`` with
-    α = 2 max log x / (1 + a); every other row takes the closed form. The
-    choice reads the row alone, so a row has the same bits in any block.
-    The pair check runs first, for every row.
+    A row takes the rule when n > 40 (the crossover measured in
+    :func:`mellin_g`), every log x in it is at least 0, and
+    (α/(α + 2))^(2q) <= 1e-10 with α = 2 max log x / (1 + a); every other
+    row takes the closed form. The choice reads the row alone, so a row has
+    the same bits in any block. The pair check runs first, for every row.
     """
     m, n = x.shape
     lx = np.log(x)
