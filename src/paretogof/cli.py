@@ -46,7 +46,6 @@ from .inference import (
 )
 from .statistics import ALL_KINDS, EXP_KINDS, PARETO_KINDS, TestKind, TestTag, _unique_kinds
 from .study import (
-    FIXED_ALTERNATIVES,
     GOLF_SCALE,
     StudyConfig,
     Tour,
@@ -278,9 +277,12 @@ def cmd_power(args) -> int:
             raise CliParseError(f"{args.config}: expected a JSON object of study "
                                 f"fields, got {type(file_conf).__name__}")
 
-    def pick(flag_value, key, convert, default, one=False):
-        """The flag's value, else the file's or the default through the flag's converter."""
-        if flag_value is not None:
+    def pick(flag_value, key, convert, default=None, one=False):
+        """The flag's value, else the file's or ``default`` through the flag's converter.
+
+        None when none of them is set, so that the field keeps its StudyConfig default.
+        """
+        if flag_value is not None or (key not in file_conf and default is None):
             return flag_value
         value = file_conf.get(key, default)
         tokens = [value] if one or not isinstance(value, list) else value
@@ -290,24 +292,20 @@ def cmd_power(args) -> int:
             raise CliParseError(f"{args.config}: {key}: {exc}") from None
         return values[0] if one else values
 
+    # the default suite goes through the parser too, so --tuning-a retunes its G
     tests = args.tests or _parse_tests(pick(None, "tests", _test_token, ["pareto"]),
                                        args.tuning_a)
-    estimators = args.estimator or sum(
-        pick(None, "estimators", _parse_estimators, ["both"]), [])
-    # an absent key means the full grid; an empty list is refused like "tests": []
-    alternatives = (pick(args.alternatives, "alternatives", _parse_alternative, [])
-                    if args.alternatives or "alternatives" in file_conf
-                    else FIXED_ALTERNATIVES)
-    config = StudyConfig(
-        sample_sizes=tuple(pick(args.n, "sample_sizes", int, [20, 30])),
-        alpha=pick(args.alpha, "alpha", float, 0.05, one=True),
-        tests=tuple(tests),
-        estimators=tuple(estimators),
-        alternatives=tuple(alternatives),
-        desk_scale=1.0 if args.full else pick(args.scale_factor, "desk_scale", float, 0.1,
-                                              one=True),
-        master_seed=args.seed,
-    )
+    file_estimators = pick(None, "estimators", _parse_estimators)  # a list per token
+    fields = {
+        "sample_sizes": pick(args.n, "sample_sizes", int),
+        "alpha": pick(args.alpha, "alpha", float, one=True),
+        "estimators": args.estimator or (file_estimators and sum(file_estimators, [])),
+        "alternatives": pick(args.alternatives, "alternatives", _parse_alternative),
+        "desk_scale": 1.0 if args.full else pick(args.scale_factor, "desk_scale", float,
+                                                 one=True),
+    }
+    config = StudyConfig(tests=tuple(tests), master_seed=args.seed,
+                         **{k: v for k, v in fields.items() if v is not None})
     try:
         jobs = args.jobs or _positive_int(os.environ.get(_JOBS_ENV, "1"))
     except argparse.ArgumentTypeError as exc:

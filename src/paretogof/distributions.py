@@ -1,9 +1,12 @@
 """Sampling and distribution functions for the Pareto type I model and its alternatives.
 
 The null model throughout is the Pareto type I distribution with scale fixed
-at one: F(x) = 1 - x**(-beta) on x > 1. Alternative families are right-shifted
-by one unit so that they live on the same support, and mixture models combine a
-mean-matched Pareto with a shifted contaminant.
+at one: F(x) = 1 - x**(-beta) on x > 1. Every alternative law is stated once,
+in a record of its label, its shift onto x > 1, its CDF and its sampler. The
+Pareto, TiltedPareto and Dhillon families live natively on x > 1; the gamma,
+Weibull, lognormal, half-normal, LFR and BetaExp families live on x > 0 and are
+shifted right by one unit. Mixture models combine a mean-matched Pareto with a
+shifted contaminant.
 
 All sampling goes through :class:`RandomStream`, a counter-based substream
 handle. Replication r of any simulation owns the substream ``stream.shifted(r)``,
@@ -24,8 +27,9 @@ support; it is re-keyed, replays its first draw and continues its substream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -218,44 +222,30 @@ class Family(str, Enum):
     DHILLON = "dhillon"
 
 
-_FAMILY_LABEL = {
-    Family.PARETO: "Pareto",
-    Family.GAMMA: "Gamma",
-    Family.WEIBULL: "Weibull",
-    Family.LOG_NORMAL: "LogNormal",
-    Family.HALF_NORMAL: "HalfNormal",
-    Family.LINEAR_FAILURE_RATE: "LFR",
-    Family.BETA_EXPONENTIAL: "BetaExp",
-    Family.TILTED_PARETO: "TiltedPareto",
-    Family.DHILLON: "Dhillon",
-}
-
-
 @dataclass(frozen=True)
 class AlternativeSpec:
     """One alternative distribution: a family plus its shape parameter.
 
-    Every non-Pareto family is shifted right by one unit so its support is
-    x > 1; the Pareto family itself needs no shift. The shift is derived from
-    the family and cannot be overridden.
+    The Pareto, TiltedPareto and Dhillon laws live natively on x > 1, so their
+    ``shift`` is 0; the other six live on x > 0 and are shifted right by one
+    unit onto x > 1, so theirs is 1. The shift and the label come from the
+    family's record.
     """
 
     family: Family
     theta: float
-    shift: float = field(init=False)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.theta) or self.theta <= 0:
             raise DomainError(f"theta must be positive, got {self.theta!r}")
-        object.__setattr__(
-            self, "shift", 0.0 if self.family is Family.PARETO else 1.0
-        )
+
+    @property
+    def shift(self) -> float:
+        return _FAMILIES[self.family].shift
 
     @property
     def label(self) -> str:
-        theta = self.theta
-        txt = f"{theta:g}"
-        return f"{_FAMILY_LABEL[self.family]}({txt})"
+        return f"{_FAMILIES[self.family].label}({self.theta:g})"
 
 
 class Contaminant(str, Enum):
@@ -264,13 +254,6 @@ class Contaminant(str, Enum):
     SHIFTED_EXPONENTIAL = "exponential"
     SHIFTED_HALF_NORMAL = "halfnormal"
     SHIFTED_LOG_NORMAL = "lognormal"
-
-
-_CONTAMINANT_LABEL = {
-    Contaminant.SHIFTED_EXPONENTIAL: "ExpMix",
-    Contaminant.SHIFTED_HALF_NORMAL: "HalfNormMix",
-    Contaminant.SHIFTED_LOG_NORMAL: "LogNormMix",
-}
 
 
 @dataclass(frozen=True)
@@ -303,7 +286,7 @@ class MixtureSpec:
 
     @property
     def label(self) -> str:
-        return f"{_CONTAMINANT_LABEL[self.contaminant]}(p={self.p:g})"
+        return f"{_CONTAMINANTS[self.contaminant].label}(p={self.p:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -377,40 +360,31 @@ def _pareto_quantile(u, beta):
 
 
 # ---------------------------------------------------------------------------
-# Alternatives: distribution functions
+# Alternatives: one record per law
 
 
-def alt_cdf(spec: AlternativeSpec, x):
-    """CDF of an alternative family at ``x``; zero below the support."""
-    from scipy import special as _special  # only the alternative CDFs need scipy
+def _special():
+    from scipy import special  # only the alternative CDFs need scipy
 
-    x = np.asarray(x, dtype=np.float64)
-    th = spec.theta
-    if spec.family is Family.PARETO:
-        return pareto_cdf(x, th)
-    y = np.maximum(x - 1.0, 0.0)
-    if spec.family is Family.GAMMA:
-        out = _special.gammainc(th, y)
-    elif spec.family is Family.WEIBULL:
-        out = -np.expm1(-np.power(y, th))
-    elif spec.family is Family.LOG_NORMAL:
-        with np.errstate(divide="ignore"):
-            out = np.where(y > 0.0, _special.ndtr(np.log(np.where(y > 0, y, 1.0)) / th), 0.0)
-    elif spec.family is Family.HALF_NORMAL:
-        out = _special.erf(y / (th * np.sqrt(2.0)))
-    elif spec.family is Family.LINEAR_FAILURE_RATE:
-        out = -np.expm1(-(y + 0.5 * th * y * y))
-    elif spec.family is Family.BETA_EXPONENTIAL:
-        out = np.power(-np.expm1(-y), th)
-    elif spec.family is Family.TILTED_PARETO:
-        out = np.where(x > 1.0, 1.0 - (1.0 + th) / (np.maximum(x, 1.0) + th), 0.0)
-    elif spec.family is Family.DHILLON:
-        lx = np.log(np.maximum(x, 1.0))
-        out = np.where(x > 1.0, -np.expm1(-np.power(lx, th + 1.0)), 0.0)
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled family {spec.family}")
-    out = np.where(x <= 1.0, 0.0, out)
-    return out if out.ndim else float(out)
+    return special
+
+
+def _half_normal_cdf(y, sigma):
+    return _special().erf(y / (sigma * np.sqrt(2.0)))
+
+
+def _half_normal_draw(sigma):
+    return lambda g, n: 1.0 + np.abs(g.normal(0.0, sigma, size=n))
+
+
+def _log_normal_cdf(y, sigma, mu=0.0):
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.where(y > 0, y, 1.0))
+        return np.where(y > 0.0, _special().ndtr((logs - mu) / sigma), 0.0)
+
+
+def _log_normal_draw(sigma, mu=0.0):
+    return lambda g, n: 1.0 + g.lognormal(mu, sigma, size=n)
 
 
 def _lfr_quantile(u, th):
@@ -419,100 +393,100 @@ def _lfr_quantile(u, th):
     return 1.0 + 2.0 * load / (1.0 + np.sqrt(1.0 + 2.0 * th * load))
 
 
-def _beta_exp_quantile(u, th):
-    return 1.0 - np.log1p(-np.power(u, 1.0 / th))
+class _Law(NamedTuple):
+    """One alternative law, stated once.
+
+    ``shift`` is 1 for a law on x > 0 moved onto x > 1 and 0 for a law native
+    to x > 1. ``cdf(z, theta)`` is the law's CDF at ``z = max(x - 1, 0)`` for a
+    shifted law and at ``z = x`` for a native one; the caller sets it to zero
+    at and below one. ``draw(theta)`` builds the law's sampler, a
+    :class:`_Quantile` of uniforms or a ``(g, n)`` closure on a Generator.
+    """
+
+    label: str
+    shift: float
+    cdf: Callable
+    draw: Callable
 
 
-def _tilted_pareto_quantile(u, th):
-    return (1.0 + th) / (1.0 - u) - th
+_FAMILIES = {
+    Family.PARETO: _Law("Pareto", 0.0, pareto_cdf, partial(_Quantile, _pareto_quantile)),
+    Family.GAMMA: _Law("Gamma", 1.0, lambda y, th: _special().gammainc(th, y),
+                       lambda th: lambda g, n: 1.0 + g.gamma(th, size=n)),
+    Family.WEIBULL: _Law("Weibull", 1.0, lambda y, th: -np.expm1(-np.power(y, th)),
+                         lambda th: lambda g, n: 1.0 + g.weibull(th, size=n)),
+    Family.LOG_NORMAL: _Law("LogNormal", 1.0, _log_normal_cdf, _log_normal_draw),
+    Family.HALF_NORMAL: _Law("HalfNormal", 1.0, _half_normal_cdf, _half_normal_draw),
+    Family.LINEAR_FAILURE_RATE: _Law(
+        "LFR", 1.0, lambda y, th: -np.expm1(-(y + 0.5 * th * y * y)),
+        partial(_Quantile, _lfr_quantile)),
+    Family.BETA_EXPONENTIAL: _Law(
+        "BetaExp", 1.0, lambda y, th: np.power(-np.expm1(-y), th),
+        partial(_Quantile, lambda u, th: 1.0 - np.log1p(-np.power(u, 1.0 / th)))),
+    Family.TILTED_PARETO: _Law(
+        "TiltedPareto", 0.0,
+        lambda x, th: np.where(x > 1.0, 1.0 - (1.0 + th) / (np.maximum(x, 1.0) + th), 0.0),
+        partial(_Quantile, lambda u, th: (1.0 + th) / (1.0 - u) - th)),
+    Family.DHILLON: _Law(
+        "Dhillon", 0.0,
+        lambda x, th: np.where(
+            x > 1.0, -np.expm1(-np.power(np.log(np.maximum(x, 1.0)), th + 1.0)), 0.0),
+        partial(_Quantile, lambda u, th: np.exp(np.power(-np.log1p(-u), 1.0 / (th + 1.0))))),
+}
 
-
-def _dhillon_quantile(u, th):
-    return np.exp(np.power(-np.log1p(-u), 1.0 / (th + 1.0)))
-
-
-_QUANTILES = {
-    Family.PARETO: _pareto_quantile,
-    Family.LINEAR_FAILURE_RATE: _lfr_quantile,
-    Family.BETA_EXPONENTIAL: _beta_exp_quantile,
-    Family.TILTED_PARETO: _tilted_pareto_quantile,
-    Family.DHILLON: _dhillon_quantile,
+# a contaminant's parameter is its mean m on x > 0
+_CONTAMINANTS = {
+    Contaminant.SHIFTED_EXPONENTIAL: _Law(
+        "ExpMix", 1.0, lambda y, m: -np.expm1(-y / m),
+        lambda m: lambda g, n: 1.0 + g.exponential(m, size=n)),
+    Contaminant.SHIFTED_HALF_NORMAL: _Law(
+        "HalfNormMix", 1.0, lambda y, m: _half_normal_cdf(y, m * np.sqrt(np.pi / 2.0)),
+        lambda m: _half_normal_draw(m * np.sqrt(np.pi / 2.0))),
+    # sigma fixed at 1, mu solved from the mean
+    Contaminant.SHIFTED_LOG_NORMAL: _Law(
+        "LogNormMix", 1.0, lambda y, m: _log_normal_cdf(y, 1.0, np.log(m) - 0.5),
+        lambda m: _log_normal_draw(1.0, np.log(m) - 0.5)),
 }
 
 
-def _alt_draw(spec: AlternativeSpec):
-    """Per-family sampler.
+def _law_cdf(law: _Law, x: np.ndarray, theta: float):
+    return law.cdf(np.maximum(x - law.shift, 0.0) if law.shift else x, theta)
 
-    Families with a closed-form quantile are a :class:`_Quantile` of the
-    row's uniforms; the remaining four draw ``n`` variates from a Generator
-    with the standard library samplers and are shifted up by one unit.
-    """
-    th = spec.theta
-    fam = spec.family
-    if fam in _QUANTILES:
-        return _Quantile(_QUANTILES[fam], th)
-    if fam is Family.GAMMA:
-        return lambda g, n: 1.0 + g.gamma(th, size=n)
-    if fam is Family.WEIBULL:
-        return lambda g, n: 1.0 + g.weibull(th, size=n)
-    if fam is Family.LOG_NORMAL:
-        return lambda g, n: 1.0 + g.lognormal(0.0, th, size=n)
-    if fam is Family.HALF_NORMAL:
-        return lambda g, n: 1.0 + np.abs(g.normal(0.0, th, size=n))
-    raise ValueError(f"unhandled family {fam}")  # pragma: no cover
+
+def alt_cdf(spec: AlternativeSpec, x):
+    """CDF of an alternative family at ``x``; zero below the support."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.where(x <= 1.0, 0.0, _law_cdf(_FAMILIES[spec.family], x, spec.theta))
+    return out if out.ndim else float(out)
+
+
+def _alt_draw(spec: AlternativeSpec):
+    """The family's sampler: a :class:`_Quantile` or a ``(g, n)`` closure."""
+    return _FAMILIES[spec.family].draw(spec.theta)
 
 
 # ---------------------------------------------------------------------------
 # Mixtures
 
 
-def _contaminant_params(spec: MixtureSpec):
-    m = spec.contaminant_mean - 1.0
-    if spec.contaminant is Contaminant.SHIFTED_EXPONENTIAL:
-        return {"scale": m}
-    if spec.contaminant is Contaminant.SHIFTED_HALF_NORMAL:
-        return {"sigma": m * np.sqrt(np.pi / 2.0)}
-    # lognormal with sigma fixed at 1, mu solved from the mean
-    return {"mu": np.log(m) - 0.5, "sigma": 1.0}
-
-
 def _mixture_draw(spec: MixtureSpec):
-    beta = spec.pareto_beta
-    params = _contaminant_params(spec)
-    kind = spec.contaminant
-    p = spec.p
+    beta, p = spec.pareto_beta, spec.p
+    contaminant = _CONTAMINANTS[spec.contaminant].draw(spec.contaminant_mean - 1.0)
 
     def draw(g: np.random.Generator, n: int) -> np.ndarray:
         # Fixed consumption order keeps the stream layout deterministic:
         # mixture indicators, then Pareto uniforms, then contaminant draws.
         pick = g.random(n) < p
-        pareto_vals = np.power(1.0 - g.random(n), -1.0 / beta)
-        if kind is Contaminant.SHIFTED_EXPONENTIAL:
-            contam = 1.0 + g.exponential(params["scale"], size=n)
-        elif kind is Contaminant.SHIFTED_HALF_NORMAL:
-            contam = 1.0 + np.abs(g.normal(0.0, params["sigma"], size=n))
-        else:
-            contam = 1.0 + g.lognormal(params["mu"], params["sigma"], size=n)
-        return np.where(pick, contam, pareto_vals)
+        pareto_vals = _pareto_quantile(g.random(n), beta)
+        return np.where(pick, contaminant(g, n), pareto_vals)
 
     return draw
 
 
 def mixture_cdf(spec: MixtureSpec, x):
     """CDF of the mixture: p * contaminant + (1 - p) * mean-matched Pareto."""
-    from scipy import special as _special  # only the alternative CDFs need scipy
-
     x = np.asarray(x, dtype=np.float64)
-    y = np.maximum(x - 1.0, 0.0)
-    params = _contaminant_params(spec)
-    if spec.contaminant is Contaminant.SHIFTED_EXPONENTIAL:
-        gc = -np.expm1(-y / params["scale"])
-    elif spec.contaminant is Contaminant.SHIFTED_HALF_NORMAL:
-        gc = _special.erf(y / (params["sigma"] * np.sqrt(2.0)))
-    else:
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.where(y > 0, y, 1.0))
-            gc = np.where(y > 0.0, _special.ndtr((logs - params["mu"]) / params["sigma"]), 0.0)
+    gc = _law_cdf(_CONTAMINANTS[spec.contaminant], x, spec.contaminant_mean - 1.0)
     out = spec.p * gc + (1.0 - spec.p) * pareto_cdf(x, spec.pareto_beta)
     out = np.where(x <= 1.0, 0.0, out)
     return out if out.ndim else float(out)

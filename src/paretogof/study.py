@@ -126,6 +126,10 @@ class StudyConfig:
             raise ValueError("sample sizes must be non-empty")
         if any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
+        # each size draws from its own streams, so a repeat would run its table again
+        repeated = [n for i, n in enumerate(self.sample_sizes) if n in self.sample_sizes[:i]]
+        if repeated:
+            raise ValueError(f"sample size {repeated[0]} is given more than once")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not 0.0 < self.desk_scale <= 1.0:

@@ -291,8 +291,20 @@ def test_config_without_alternatives_runs_the_full_grid(tmp_path, monkeypatch, c
     conf.write_text(json.dumps({"tests": ["ks"], "sample_sizes": [10]}))
     with pytest.raises(Stop):
         main(["power", "--config", str(conf), "--seed", "1"])
-    assert seen == [paretogof.cli.FIXED_ALTERNATIVES]
+    assert seen == [paretogof.study.FIXED_ALTERNATIVES]
     capsys.readouterr()
+
+
+def test_power_refuses_a_repeated_sample_size(tmp_path, capsys):
+    # each size has its own streams; a repeat would print and write its table twice
+    assert main(["power", "--n", "10", "10", "--alternatives", "gamma:1.2",
+                 "--estimator", "mle", "--tests", "ks", "--seed", "1"]) == 2
+    assert "sample size 10 is given more than once" in capsys.readouterr().err
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"tests": ["ks"], "alternatives": ["gamma:1.2"],
+                                "sample_sizes": [10, 10], "desk_scale": 0.1}))
+    assert main(["power", "--config", str(conf), "--seed", "1"]) == 2
+    assert "sample size 10 is given more than once" in capsys.readouterr().err
 
 
 def test_invalid_study_grid_is_a_usage_error(capsys):

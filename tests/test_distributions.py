@@ -157,6 +157,14 @@ def test_alternative_spec_validation_and_shift():
     spec = AlternativeSpec(Family.GAMMA, 1.2)
     assert spec.shift == 1.0
     assert AlternativeSpec(Family.PARETO, 2.0).shift == 0.0
+    # the Pareto, tilted Pareto and Dhillon laws live natively on x > 1
+    shifts = {Family.PARETO: 0.0, Family.GAMMA: 1.0, Family.WEIBULL: 1.0,
+              Family.LOG_NORMAL: 1.0, Family.HALF_NORMAL: 1.0,
+              Family.LINEAR_FAILURE_RATE: 1.0, Family.BETA_EXPONENTIAL: 1.0,
+              Family.TILTED_PARETO: 0.0, Family.DHILLON: 0.0}
+    assert shifts.keys() == set(Family)
+    for family, shift in shifts.items():
+        assert AlternativeSpec(family, 1.0).shift == shift, family
     assert spec.label == "Gamma(1.2)"
     with pytest.raises(DomainError):
         AlternativeSpec(Family.WEIBULL, 0.0)

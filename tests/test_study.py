@@ -31,6 +31,7 @@ from paretogof import (
     run_power_study,
     run_power_table,
 )
+from paretogof.statistics import EXP_KS
 from paretogof.study import (
     GOLF_SCALE,
     MIXTURE_PROPORTIONS,
@@ -98,6 +99,8 @@ def test_config_validation():
         StudyConfig(sample_sizes=())
     with pytest.raises(ValueError, match="sample sizes must be positive"):
         StudyConfig(sample_sizes=(0,))
+    with pytest.raises(ValueError, match="sample size 10 is given more than once"):
+        StudyConfig(sample_sizes=(10, 20, 10))
     with pytest.raises(ValueError):
         StudyConfig(tests=())
     with pytest.raises(ValueError):
@@ -219,6 +222,36 @@ def test_failed_cells_become_notes_at_every_job_count():
     assert len(serial.notes) == 2
     assert all(note.startswith("HalfNormal(1e-300) / ") and "failed" in note
                for note in serial.notes)
+
+
+def _mme_only_table(tests):
+    cfg = StudyConfig(
+        sample_sizes=(20,), tests=tests, estimators=(MME,),
+        alternatives=(AlternativeSpec(Family.GAMMA, 1.2),),
+        critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
+    )
+    return run_power_table(cfg, n=20)
+
+
+def test_exponentiality_kind_on_the_moment_route_is_a_note_and_an_empty_cell():
+    tab = _mme_only_table((KS, EXP_KS))
+    gamma = tab.rows[0]
+    assert list(tab.cells) == [(gamma, KS, MME)]
+    assert tab.notes == ["Gamma(1.2) / ExpKS / mme: not applicable on this route"]
+    power = tab.get(gamma, KS, MME).power
+    assert render_table(tab, "markdown").splitlines()[2] == (
+        f"| Gamma(1.2) | {int(np.floor(power * 100 + 0.5))} |  |")
+    head, row = list(csv.reader(io.StringIO(render_table(tab, "csv"))))
+    assert head == ["alternative", "KS mme", "KS mme se", "ExpKS mme", "ExpKS mme se"]
+    assert row[0] == "Gamma(1.2)" and float(row[1]) == pytest.approx(power, abs=5e-5)
+    assert row[3:] == ["", ""]
+
+
+def test_a_moment_route_cell_of_exponentiality_kinds_only_yields_no_cells():
+    tab = _mme_only_table((EXP_KS,))
+    assert tab.cells == {}
+    assert tab.notes == ["Gamma(1.2) / ExpKS / mme: not applicable on this route"]
+    assert render_table(tab, "csv").splitlines()[1] == "Gamma(1.2),,"
 
 
 def test_mme_cells_use_warp_speed_and_mle_cells_use_the_table(small_table):
