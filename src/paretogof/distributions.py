@@ -387,6 +387,12 @@ def _log_normal_draw(sigma, mu=0.0):
     return lambda g, n: 1.0 + g.lognormal(mu, sigma, size=n)
 
 
+def _lfr_cdf(y, th):
+    # y * y overflows to inf for y above about 1e154, where the CDF is 1
+    with np.errstate(over="ignore"):
+        return -np.expm1(-(y + 0.5 * th * y * y))
+
+
 def _lfr_quantile(u, th):
     load = -np.log1p(-u)
     # stable root of theta*y**2/2 + y = load
@@ -418,8 +424,7 @@ _FAMILIES = {
     Family.LOG_NORMAL: _Law("LogNormal", 1.0, _log_normal_cdf, _log_normal_draw),
     Family.HALF_NORMAL: _Law("HalfNormal", 1.0, _half_normal_cdf, _half_normal_draw),
     Family.LINEAR_FAILURE_RATE: _Law(
-        "LFR", 1.0, lambda y, th: -np.expm1(-(y + 0.5 * th * y * y)),
-        partial(_Quantile, _lfr_quantile)),
+        "LFR", 1.0, _lfr_cdf, partial(_Quantile, _lfr_quantile)),
     Family.BETA_EXPONENTIAL: _Law(
         "BetaExp", 1.0, lambda y, th: np.power(-np.expm1(-y), th),
         partial(_Quantile, lambda u, th: 1.0 - np.log1p(-np.power(u, 1.0 / th)))),

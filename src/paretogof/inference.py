@@ -37,6 +37,16 @@ evaluated the same way in a block of any size. Only the statistic columns,
 joined in row order, grow with the replication count, and every number
 equals a whole-block run.
 
+A route of at least ``2**18`` words (rows times n) runs its chunks on T
+threads, one per CPU the process may use (``os.sched_getaffinity``, so
+``taskset`` limits it) and at most one per chunk; each thread writes its
+chunk's columns by row range. The ``2**16``-word budget is then split, a
+chunk holding ``2**16 // T`` words, so the words in flight and the peak
+memory stay those of one serial chunk. A smaller route runs its chunks in
+turn on the calling thread, as do the routes of ``power --jobs`` workers.
+Rows draw their own substreams, so every column is the same, bit for bit,
+whatever T is.
+
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes
 it (the bootstrap sampler, the statistics' shape check, or
@@ -48,6 +58,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -125,27 +137,82 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 # evaluation conventions
 
 
+# a route fans its chunks out over threads from this many words (rows times n)
+_FAN_OUT_WORDS = 1 << 18
+# threads per route; None is one per usable CPU, and power's pool workers set 1
+_threads = None
+
+
+def _single_threaded() -> None:
+    """Run every route's chunks on the calling thread (``power``'s pool
+    workers, which already fill the CPUs, call this at start-up)."""
+    global _threads
+    _threads = 1
+
+
+def _thread_count() -> int:
+    if _threads is not None:
+        return _threads
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _row_blocks(block, reps: int, n: int) -> tuple:
     """Run a route's ``reps`` rows of size ``n`` as ``block(lo, hi)`` chunks.
 
     ``block`` draws, estimates and evaluates rows ``lo`` to ``hi`` and returns
     a tuple of dicts, kind to per-row statistics; the result is that tuple
-    with every column over all ``reps`` rows, in row order. A chunk holds the
-    sampler's word budget, ``_PHILOX_BLOCK // n`` rows but at least one, and
-    the last chunk what is left. Every sampler, estimator and kernel is
-    row-independent, so the columns equal one whole-block evaluation.
+    with every column over all ``reps`` rows, in row order. Every sampler,
+    estimator and kernel is row-independent, so the columns equal one
+    whole-block evaluation however the rows are chunked.
+
+    A route of fewer than ``_FAN_OUT_WORDS`` (2**18) words runs on the calling
+    thread in chunks of the sampler's word budget, ``_PHILOX_BLOCK // n`` rows
+    but at least one, the last chunk holding what is left. A larger route runs
+    on T threads, T the CPUs the process may use but at most the chunk count,
+    and its chunks hold ``_PHILOX_BLOCK // T`` words, so the T chunks in
+    flight hold the words of one serial chunk. Each thread writes its chunk's
+    columns into their row range. A failing chunk cancels the chunks not yet
+    started, and the first error in row order is raised, as the serial loop
+    raises it: chunks start in row order, so every chunk before a failing one
+    has started. The pool is made and shut down within the call, so no thread
+    is left running.
     """
-    rows = max(1, _PHILOX_BLOCK // max(n, 1))
-    out = None
-    for lo in range(0, reps, rows):
-        hi = min(lo + rows, reps)
+    threads = _thread_count() if reps * n >= _FAN_OUT_WORDS else 1
+    rows = max(1, _PHILOX_BLOCK // threads // max(n, 1))
+    spans = [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    threads = min(threads, len(spans))
+    out = []
+    lock = threading.Lock()
+
+    def run(lo, hi):
         part = block(lo, hi)
-        if out is None:
-            out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
+        with lock:
+            if not out:
+                out.extend({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
         for cols, d in zip(out, part):
             for k, v in d.items():
                 cols[k][lo:hi] = v
-    return out
+
+    if threads <= 1:
+        for lo, hi in spans:
+            run(lo, hi)
+        return tuple(out)
+
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        futures = [pool.submit(run, lo, hi) for lo, hi in spans]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+    return tuple(out)
 
 
 def pivotal_statistic_rows(kinds, x: np.ndarray):

@@ -182,9 +182,10 @@ def order_weights(n: int) -> np.ndarray:
     return _order_weights(int(n)).copy()
 
 
-def _edf_sorted(xs: np.ndarray, beta_col: np.ndarray):
-    """Clamped model CDF at the sorted values, plus a per-row clamp indicator."""
-    f = 1.0 - _row_power(xs, -beta_col)
+def _edf_sorted(pw: np.ndarray):
+    """Clamped model CDF 1 - pw at the sorted values, given ``pw = xs ** -beta``,
+    plus a per-row clamp indicator."""
+    f = 1.0 - pw
     hit = (f < _CLAMP_EPS) | (f > 1.0 - _CLAMP_EPS)
     return np.clip(f, _CLAMP_EPS, 1.0 - _CLAMP_EPS), hit.any(axis=1)
 
@@ -237,11 +238,11 @@ def _mp1_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return t1 - t2 + 8.0 / 15.0
 
 
-def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """MP2 row-wise; ``pw`` is ``xs ** -beta``, the power the model CDF takes."""
     n = x.shape[1]
     b = beta[:, None]
     w = _order_weights(n)
-    pw = _row_power(xs, -b)
     t1 = np.sum(w * pw, axis=1) / n**2
     t2 = beta / n**2 * np.sum(w * pw * np.log(xs), axis=1)
     x2 = _row_power(x, -2.0 * b)
@@ -393,6 +394,11 @@ def _evaluate(kinds, x: np.ndarray, beta):
     xs = None
     if any(k.tag is not TestTag.MELLIN_G for k in wanted):
         xs = np.sort(x, axis=1)
+    # the model CDF and MP2 raise the sorted rows to the same column, once
+    pw = None
+    if any(k.tag is TestTag.MP2 or (k.tag in _EDF_KERNELS and not k.is_exponentiality)
+           for k in wanted):
+        pw = _row_power(xs, -b[:, None])
 
     out = {}
     clamped = {}
@@ -402,8 +408,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
         if tag in _EDF_KERNELS:
             exp = k.is_exponentiality
             if exp not in edf:
-                rate = mle_rows(x) if exp else b
-                edf[exp] = _edf_sorted(xs, rate[:, None])
+                edf[exp] = _edf_sorted(_row_power(xs, -mle_rows(x)[:, None]) if exp else pw)
             f, hit = edf[exp]
             out[k] = _EDF_KERNELS[tag](f)
             if tag in _LOG_TAGS:
@@ -411,7 +416,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
         elif tag is TestTag.MP1:
             out[k] = _mp1_rows(x, xs, b)
         elif tag is TestTag.MP2:
-            out[k] = _mp2_rows(x, xs, b)
+            out[k] = _mp2_rows(x, xs, b, pw)
         else:
             out[k] = _mellin_rows(x, b, k.tuning_a)
     return out, clamped

@@ -238,6 +238,17 @@ def test_mixture_draws_follow_their_cdf(contaminant):
     assert _ks_distance(x, np.asarray(mixture_cdf(spec, x))) < 0.035
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [0.2, 1.0])
+def test_lfr_cdf_far_in_the_tail_is_one_without_an_overflow_warning(theta):
+    # theta * y * y / 2 overflows to inf above about 1e154, where the CDF is 1
+    spec = AlternativeSpec(Family.LINEAR_FAILURE_RATE, theta)
+    assert alt_cdf(spec, 1e300) == 1.0
+    got = alt_cdf(spec, np.array([2.0, 1e200, 1e300]))
+    assert got[1:].tolist() == [1.0, 1.0]
+    assert got[0] == pytest.approx(1.0 - np.exp(-(1.0 + 0.5 * theta)), rel=1e-15)
+
+
 def test_alternative_draws_live_on_support():
     for spec in _ALL_SPECS:
         vals = alt_sample(spec, 500, RandomStream(316, 0)).values

@@ -1,9 +1,13 @@
 """Inference machinery: quantile conventions, critical values, power, bootstrap."""
 
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -583,6 +587,181 @@ def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
         for res in got:
             count = int(np.sum(want[res.kind] >= res.decision_statistic))
             assert res.p_value == (1.0 + count) / (B + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# thread fan-out
+
+
+def _fanned_out(monkeypatch, threads, words):
+    """Fan every route out over ``threads`` threads in chunks of ``words //
+    threads`` words; record each chunk's rows and thread, and the columns."""
+    monkeypatch.setattr(inference, "_threads", threads)
+    monkeypatch.setattr(inference, "_FAN_OUT_WORDS", 1)
+    monkeypatch.setattr(inference, "_PHILOX_BLOCK", words)
+    seen = {"spans": [], "idents": set(), "columns": []}
+
+    def spy(block, reps, n):
+        def counted(lo, hi):
+            seen["spans"].append((lo, hi))
+            seen["idents"].add(threading.get_ident())
+            return block(lo, hi)
+
+        out = _ROW_BLOCKS(counted, reps, n)
+        seen["columns"].append(out)
+        return out
+
+    monkeypatch.setattr(inference, "_row_blocks", spy)
+    return seen
+
+
+def _null_route():
+    n, reps, stream = 20, 1000, RandomStream(613, 0)
+    x = pareto_rows(1.0, n, reps, stream)
+    want = (_decision_oracle(ALL_KINDS, x, mle_rows(x), MLE),)
+    return lambda: null_critical_values(ALL_KINDS, n, [0.05], reps, stream), want, reps
+
+
+def _fixed_critical_route():
+    n, reps, stream = 20, 301, RandomStream(613, 1)
+    table = CriticalValueTable(reps=1000, seed=0)
+    for k in ALL_KINDS:
+        table.put(k, MLE, n, 0.05, 0.5)
+    x = alternative_rows(GAMMA12, n, reps, stream)
+    want = (_decision_oracle(ALL_KINDS, x, mle_rows(x), MLE),)
+    return (lambda: power_fixed_critical_many(ALL_KINDS, GAMMA12, n, 0.05, reps, table, stream),
+            want, reps)
+
+
+def _warp_route(estimator):
+    n, reps, stream = 20, 301, RandomStream(613, 2)
+    kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
+    est = mle_rows if estimator is MLE else mme_rows
+    x = alternative_rows(GAMMA12, n, reps, stream, 0, 2)
+    b = est(x)
+    xb = bootstrap_rows(b, n, stream, 1, 2)
+    want = (_decision_oracle(kinds, x, b, estimator),
+            _decision_oracle(kinds, xb, est(xb), estimator))
+    return (lambda: warp_speed_power_many(kinds, estimator, GAMMA12, n, 0.05, reps, stream),
+            want, reps)
+
+
+def _bootstrap_route(estimator):
+    s = pareto_sample(2.0, 20, RandomStream(613, 3))
+    B, stream = 301, RandomStream(613, 4)
+    kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
+    est = mle_rows if estimator is MLE else mme_rows
+    xb = bootstrap_rows(np.full(B, estimate_shape(s, estimator).value), s.n, stream)
+    want = (_decision_oracle(kinds, xb, est(xb), estimator),)
+    return lambda: bootstrap_pvalue_many(kinds, estimator, s, B, stream), want, B
+
+
+_FAN_OUT_ROUTES = {
+    "null": _null_route,
+    "fixed-critical": _fixed_critical_route,
+    "warp-mle": lambda: _warp_route(MLE),
+    "warp-mme": lambda: _warp_route(MME),
+    "bootstrap-mle": lambda: _bootstrap_route(MLE),
+    "bootstrap-mme": lambda: _bootstrap_route(MME),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("route", list(_FAN_OUT_ROUTES))
+def test_every_route_gives_the_columns_of_one_whole_block_on_any_thread_count(
+        route, threads, monkeypatch):
+    n, words = 20, 840  # chunks of 42, 21 and 14 rows on 1, 2 and 3 threads
+    call, want, reps = _FAN_OUT_ROUTES[route]()
+    seen = _fanned_out(monkeypatch, threads, words)
+    before = threading.active_count()
+    call()
+    assert threading.active_count() == before  # no thread outlives the call
+    rows = words // threads // n
+    assert sorted(seen["spans"]) == [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    main = threading.get_ident()
+    if threads == 1:
+        assert seen["idents"] == {main}
+    else:
+        assert main not in seen["idents"] and len(seen["idents"]) <= threads
+    (got,) = seen["columns"]
+    assert len(got) == len(want)
+    for cols, oracle in zip(got, want):
+        _assert_columns(cols, oracle)
+
+
+def test_a_route_below_the_fan_out_threshold_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(inference, "_threads", 3)
+    seen = []
+
+    def block(lo, hi):
+        seen.append(threading.get_ident())
+        return ({"r": np.arange(lo, hi, dtype=float)},)
+
+    n = 20
+    reps = inference._FAN_OUT_WORDS // n - 1
+    out = inference._row_blocks(block, reps, n)
+    assert np.array_equal(out[0]["r"], np.arange(reps))
+    assert set(seen) == {threading.get_ident()}
+    assert len(seen) == -(-reps // (inference._PHILOX_BLOCK // n))  # full-size chunks
+
+
+def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
+    # chunk 2 fails first in time, chunk 1 after it: chunk 1's error is the
+    # one the serial loop raises
+    monkeypatch.setattr(inference, "_threads", 3)
+    later_failed = threading.Event()
+    started = []
+
+    def block(lo, hi):
+        started.append(lo)
+        if lo == 1:
+            later_failed.wait(10)
+            raise DomainError("chunk 1")
+        if lo == 2:
+            later_failed.set()
+            raise DomainError("chunk 2")
+        time.sleep(0.01)
+        return ({"r": np.arange(lo, hi, dtype=float)},)
+
+    reps = 200
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="chunk 1"):
+        inference._row_blocks(block, reps, inference._FAN_OUT_WORDS)  # 1-row chunks
+    assert threading.active_count() == before
+    assert {0, 1, 2} <= set(started)
+    assert len(started) < reps  # the chunks not yet started were cancelled
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="the patches reach the pool workers through fork only")
+def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
+    # every route would fan out over two threads, and a fan-out fails its cell
+    _fanned_out(monkeypatch, 2, 400)
+
+    def refuse(*args, **kwargs):
+        raise ValueError("fanned out")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    cfg = StudyConfig(
+        sample_sizes=(20,), tests=(KS,), estimators=(MME,), alternatives=(GAMMA12, NULL2),
+        warp_reps=1000, desk_scale=1.0,
+    )
+    table = run_power_table(cfg, n=20, jobs=2)
+    assert table.notes == [] and len(table.cells) == 2
+    failed = run_power_table(cfg, n=20, jobs=1).notes  # the patches bite in process
+    assert len(failed) == 2 and all(note.endswith("failed (fanned out)") for note in failed)
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # the thread and process pools are imported where they are made
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import paretogof.cli, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _sample_with_mle(target, n, seed):
