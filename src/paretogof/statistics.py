@@ -417,9 +417,13 @@ def _evaluate(kinds, x: np.ndarray, beta):
             out[k] = _mp1_rows(x, xs, b)
         elif tag is TestTag.MP2:
             out[k] = _mp2_rows(x, xs, b, pw)
-        else:
+    # G's pair sums hold several (m, n) arrays and set a block's peak memory,
+    # so G runs last, once the sorted rows and the CDF tables are freed
+    del xs, pw, edf
+    for k in wanted:
+        if k.tag is TestTag.MELLIN_G:
             out[k] = _mellin_rows(x, b, k.tuning_a)
-    return out, clamped
+    return {k: out[k] for k in wanted}, clamped
 
 
 def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
