@@ -732,6 +732,32 @@ def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
     assert len(started) < reps  # the chunks not yet started were cancelled
 
 
+def test_the_fan_out_keeps_every_row_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, the first chunks finishing together and a short
+    # switch interval: two chunks that both allocated the columns would leave
+    # rows in a table nobody returns
+    threads = 8
+    monkeypatch.setattr(inference, "_threads", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            together = threading.Barrier(threads, timeout=10)
+
+            def block(lo, hi):
+                if lo < threads:
+                    together.wait()
+                return ({"r": np.arange(lo, hi, dtype=float)},
+                        {"s": -np.arange(lo, hi, dtype=float)})
+
+            out = inference._row_blocks(block, 500, inference._FAN_OUT_WORDS)  # 1-row chunks
+            assert len(out) == 2
+            assert np.array_equal(out[0]["r"], np.arange(500))
+            assert np.array_equal(out[1]["s"], -np.arange(500.0))
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
                     reason="the patches reach the pool workers through fork only")
 def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
