@@ -510,3 +510,29 @@ def test_console_script_help_runs():
     # argparse --help exits zero and prints the subcommand list
     assert proc.returncode == 0
     assert "critical-values" in proc.stdout
+
+
+_AVX512 = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not all(_cpu_features().get(f) for f in _AVX512),
+                    reason="the host lacks the AVX-512 features to switch off")
+def test_critical_values_print_the_same_bytes_without_avx512_dispatch():
+    # numpy's AVX-512 exp, log and pow differ from libm's in the last bit on a
+    # few percent of elements; the printed table must not see it
+    argv = [sys.executable, "-m", "paretogof.cli", "critical-values", "--n", "20",
+            "--reps", "2000", "--tests", "ad", "za", "g", "--seed", "5"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    runs = [subprocess.run(argv, capture_output=True, text=True, timeout=120, env=e)
+            for e in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(_AVX512)})]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[1].stdout == runs[0].stdout

@@ -45,10 +45,11 @@ from paretogof import (
 )
 from paretogof.distributions import pareto_rows
 from paretogof.estimation import mle_rows, mme_rows
+from paretogof import statistics as statistics_module
 from paretogof.statistics import (
-    _GL_MIN_N,
+    _CLOSED_MAX_N,
     _mellin_closed,
-    _mellin_laguerre,
+    _mellin_trapezoid,
     exp_edf_suite,
     order_weights,
     statistic_rows,
@@ -271,12 +272,27 @@ def test_mellin_g_working_memory_is_bounded_by_the_input(shape):
 _FAULT_PROBE = """
 import resource
 import numpy as np
-from paretogof.statistics import MELLIN_G, statistic_rows
-x = (1.0 - np.random.default_rng(507).random((150, 1000))) ** (-1.0 / 2.5)
+from paretogof.statistics import _mellin_closed
+x = (1.0 - np.random.default_rng(507).random((150, 1000))) ** (-1.0 / {shape})
+lx = np.log(x)
+beta = np.ones(150)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-statistic_rows([MELLIN_G], x, 1.0)
+_mellin_closed(lx, beta, 2.0)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+
+
+def _closed_form_faults(shape):
+    """Minor page faults of one closed-form G evaluation of a (150, 1000)
+    Pareto(shape) matrix, in a fresh process: earlier tests leave the
+    allocator warm, which hides them."""
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE.format(shape=shape)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -285,73 +301,53 @@ def test_mellin_g_pair_loop_does_not_fault_per_column():
     # Per-column temporaries of (150, n - j) floats sit above glibc's mmap
     # threshold, so each one is mapped, zero-filled page by page on first
     # touch and unmapped again: about 440 000 minor faults for this call.
-    # Reused scratch buffers fault a few thousand times. It runs in a fresh
-    # process because earlier tests leave the allocator warm, which hides it.
-    src = str(Path(paretogof.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 50_000
-
-
-_FALLBACK_PROBE = """
-import resource
-import numpy as np
-from paretogof.statistics import MELLIN_G, _mellin_closed, statistic_rows
-x = (1.0 - np.random.default_rng(507).random((150, 1000))) ** (-1.0 / 0.3)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-g = statistic_rows([MELLIN_G], x, 1.0)[MELLIN_G]
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(np.array_equal(g, _mellin_closed(np.log(x), np.ones(150), 2.0)))
-"""
+    # Reused scratch buffers fault a few thousand times. Above n = 40 G takes
+    # the trapezoid rule, so the probe calls the closed form directly.
+    assert _closed_form_faults(2.5) < 50_000
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="counts Linux minor page faults")
 def test_mellin_g_pair_loop_does_not_fault_per_column_on_heavy_tailed_rows():
-    # Pareto(0.3) rows spread log x too far for the quadrature, so every row
-    # takes the closed form's pair loop, which the probe above no longer
-    # reaches at n = 1000
-    src = str(Path(paretogof.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-c", _FALLBACK_PROBE], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    faults, closed = proc.stdout.split()
-    assert closed == "True"
-    assert int(faults) < 50_000
+    # Pareto(0.3) rows spread log x over several decades
+    assert _closed_form_faults(0.3) < 50_000
 
 
-# G by Gauss-Laguerre quadrature above the crossover. The gate on every row:
-# no worse against the integral oracle than 1e-10 or the closed form's own
-# error on that row, whichever is larger.
+# G by the trapezoid rule above the crossover. The gate on every row: no
+# worse against the integral oracle than 1e-10 or the closed form's own error
+# on that row, whichever is larger.
 
-_GL_KINDS = ("pivotal", "pareto0.3-mle", "pareto2.5-mme", "near1-mle", "near1-mme")
+_G_KINDS = ("pivotal", "pareto0.3-mle", "pareto2.5-mme", "near1-mle", "near1-mme",
+            "pareto0.05-mle", "one-1e300", "below1")
 
 
-def _gl_battery(n):
+def _g_battery(n):
     """Adversarial rows at size n and the shape each is evaluated at: a
-    pivotal row at shape one; a raw Pareto(0.3) row at its MLE, whose log x
-    spreads too far for the quadrature at a <= 1; a raw Pareto(2.5) row at
-    its MME; and two raw Pareto(50) rows, x within a few percent of 1, at
-    their MLE and MME."""
+    pivotal row at shape one; raw Pareto(0.3) and Pareto(0.05) rows at their
+    MLE, whose log x spreads over decades; a raw Pareto(2.5) row at its MME;
+    two raw Pareto(50) rows, x within a few percent of 1, at their MLE and
+    MME; a Pareto(2) row holding one value of 1e300, at its MLE; and a
+    Pareto(3) row scaled by 0.62, so that most x < 1 and 1.1 + 2 min log x
+    is about 0.15, at shape three."""
     p = pareto_rows(1.5, n, 1, RandomStream(511, 0))
     heavy = pareto_rows(0.3, n, 1, RandomStream(511, 1))
     mid = pareto_rows(2.5, n, 1, RandomStream(511, 2))
     near = pareto_rows(50.0, n, 2, RandomStream(511, 3))
-    x = np.vstack([p ** mle_rows(p)[:, None], heavy, mid, near])
+    heavier = pareto_rows(0.05, n, 1, RandomStream(511, 4))
+    huge = pareto_rows(2.0, n, 1, RandomStream(511, 5))
+    huge[0, n // 2] = 1e300
+    below = 0.62 * pareto_rows(3.0, n, 1, RandomStream(511, 6))
+    x = np.vstack([p ** mle_rows(p)[:, None], heavy, mid, near, heavier, huge, below])
     beta = np.concatenate([[1.0], mle_rows(heavy), mme_rows(mid),
-                           mle_rows(near[:1]), mme_rows(near[1:])])
+                           mle_rows(near[:1]), mme_rows(near[1:]),
+                           mle_rows(heavier), mle_rows(huge), [3.0]])
     return x, beta
 
 
-def _check_gl_rows(n, cases):
+def _check_g_rows(n, cases):
     """Each (row kind, a) case against the oracle; the whole battery is one
-    block per a, so qualifying and falling-back rows are mixed."""
-    x, beta = _gl_battery(n)
+    block per a."""
+    x, beta = _g_battery(n)
     lx = np.log(x)
     for a in sorted({a for _, a in cases}):
         kind = TestKind(TestTag.MELLIN_G, a)
@@ -360,52 +356,65 @@ def _check_gl_rows(n, cases):
         for name, case_a in cases:
             if case_a != a:
                 continue
-            i = _GL_KINDS.index(name)
+            i = _G_KINDS.index(name)
             ref = mellin_g_by_integral(x[i], beta[i], a)
             closed_err = abs(closed[i] / ref - 1.0)
             assert abs(got[i] / ref - 1.0) <= max(1e-10, closed_err), (n, name, a)
 
 
-_GL_ALL = [(name, a) for name in _GL_KINDS for a in (0.1, 1.0, 5.0)]
+_G_A = (0.1, 1.0, 5.0)
+_G_ALL = [(name, a) for name in _G_KINDS for a in _G_A]
 
 
 @pytest.mark.parametrize("n, cases", [
-    (_GL_MIN_N + 1, _GL_ALL),
-    (200, [("pivotal", 1.0), ("near1-mme", 5.0)]),
+    (_CLOSED_MAX_N + 1, _G_ALL),
+    (200, [("pivotal", 1.0), ("near1-mme", 5.0), ("pareto0.05-mle", 0.1)]),
 ], ids=["crossover", "200"])
 def test_mellin_g_quadrature_rows_match_the_integral(n, cases):
-    _check_gl_rows(n, cases)
+    _check_g_rows(n, cases)
 
 
 @pytest.mark.skipif(os.environ.get("PARETOGOF_FULL_SCALE") != "1",
-                    reason="about 4 minutes of oracle integrals; "
+                    reason="about 5 minutes of oracle integrals; "
                            "set PARETOGOF_FULL_SCALE=1 to run")
 @pytest.mark.parametrize("n", [200, 1000])
 def test_mellin_g_quadrature_rows_match_the_integral_full_battery(n):
-    _check_gl_rows(n, _GL_ALL)
+    _check_g_rows(n, _G_ALL)
 
 
-@pytest.mark.parametrize("n", [_GL_MIN_N + 1, 1000])
+@pytest.mark.parametrize("n", [_CLOSED_MAX_N + 1, 1000])
 def test_mellin_g_method_is_chosen_by_the_row_alone(n):
-    # the heavy-tailed row falls back to the closed form at a = 1 and the
-    # others take the quadrature; each row of the mixed block has the bits of
-    # its own 1-row evaluation, and the fallback row those of the closed form
-    x, beta = _gl_battery(n)
-    lx = np.log(x)
-    got = statistic_rows([MELLIN_G], x, beta)[MELLIN_G]
-    closed = _mellin_closed(lx, beta, 2.0)
-    quad = _mellin_laguerre(lx, beta, 2.0)
-    for i, name in enumerate(_GL_KINDS):
-        one = statistic_rows([MELLIN_G], x[i:i + 1], beta[i:i + 1])[MELLIN_G]
-        assert got[i] == one[0], name
-        want = closed if name == "pareto0.3-mle" else quad
-        assert got[i] == want[i], name
+    # each row of the mixed block has the bits of its own 1-row evaluation
+    x, beta = _g_battery(n)
+    for a in _G_A:
+        kind = TestKind(TestTag.MELLIN_G, a)
+        got = statistic_rows([kind], x, beta)[kind]
+        assert np.array_equal(got, _mellin_trapezoid(np.log(x), beta, 1.0 + a))
+        for i, name in enumerate(_G_KINDS):
+            one = statistic_rows([kind], x[i:i + 1], beta[i:i + 1])[kind]
+            assert got[i] == one[0], (name, a)
+
+
+def test_mellin_g_above_the_crossover_never_takes_the_closed_form(monkeypatch):
+    closed = statistics_module._mellin_closed
+
+    def closed_up_to_the_crossover(lx, beta, c):
+        if lx.shape[1] > _CLOSED_MAX_N:
+            raise AssertionError(f"closed form at n = {lx.shape[1]}")
+        return closed(lx, beta, c)
+
+    monkeypatch.setattr(statistics_module, "_mellin_closed", closed_up_to_the_crossover)
+    for n in (_CLOSED_MAX_N + 1, 1000):
+        x, beta = _g_battery(n)
+        for a in _G_A:
+            kind = TestKind(TestTag.MELLIN_G, a)
+            assert np.all(np.isfinite(statistic_rows([kind], x, beta)[kind]))
 
 
 def test_mellin_g_at_the_crossover_and_below_is_the_closed_form():
-    # n <= _GL_MIN_N keeps today's kernel bit for bit, so tabulated critical
+    # n <= _CLOSED_MAX_N keeps today's kernel bit for bit, so tabulated critical
     # values at n = 20 and 30 do not move
-    for n in (20, 30, _GL_MIN_N):
+    for n in (20, 30, _CLOSED_MAX_N):
         x = pareto_rows(2.0, n, 50, RandomStream(512, n))
         b = mle_rows(x)
         got = statistic_rows([MELLIN_G], x, b)[MELLIN_G]
@@ -413,8 +422,8 @@ def test_mellin_g_at_the_crossover_and_below_is_the_closed_form():
 
 
 def test_mellin_g_quadrature_nodes_load_on_first_use():
-    # numpy.polynomial is not loaded by importing numpy; the CLI's start-up
-    # and a critical-value run at n = 20 must not pay for it
+    # numpy.polynomial is not loaded by importing numpy; neither the CLI's
+    # start-up and a critical-value run at n = 20 nor G at n = 1000 loads it
     code = (
         "import sys\n"
         "import paretogof.cli\n"
@@ -430,7 +439,7 @@ def test_mellin_g_quadrature_nodes_load_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["False", "True"]
+    assert proc.stdout.split()[-2:] == ["False", "False"]
 
 
 def test_mellin_g_routes_differ():
