@@ -43,9 +43,9 @@ from paretogof import (
     pivotal_transform,
     za,
 )
+from paretogof import statistics as statistics_module
 from paretogof.distributions import pareto_rows
 from paretogof.estimation import mle_rows, mme_rows
-from paretogof import statistics as statistics_module
 from paretogof.statistics import (
     _CLOSED_MAX_N,
     _mellin_closed,
