@@ -39,11 +39,12 @@ equals a whole-block run.
 
 A route of at least ``2**18`` words (rows times n) runs its chunks on T
 threads, one per CPU the process may use (``os.sched_getaffinity``, so
-``taskset`` limits it) and at most one per chunk; each thread writes its
-chunk's columns by row range. The ``2**16``-word budget is then split, a
-chunk holding ``2**16 // T`` words, so the words in flight and the peak
-memory stay those of one serial chunk. A smaller route runs its chunks in
-turn on the calling thread, as do the routes of ``power --jobs`` workers.
+``taskset`` limits it) and at most one per chunk. The ``2**16``-word budget
+is then split, a chunk holding ``2**16 // T`` words, so the words in flight
+and the peak memory stay those of one serial chunk. A smaller route, and
+every route in a multiprocessing child such as a ``power --jobs`` worker,
+runs its chunks in turn on the calling thread. Either way one ordered map
+runs the chunks and the calling thread writes their columns in row order.
 Rows draw their own substreams, so every column is the same, bit for bit,
 whatever T is.
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -86,7 +87,6 @@ __all__ = [
     "PowerEstimate",
     "upper_quantile",
     "pivotal_statistic_rows",
-    "plugin_statistic_rows",
     "null_critical_value",
     "null_critical_values",
     "power_fixed_critical",
@@ -139,20 +139,15 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 
 # a route fans its chunks out over threads from this many words (rows times n)
 _FAN_OUT_WORDS = 1 << 18
-# threads per route; None is one per usable CPU, and power's pool workers set 1
-_threads = None
-
-
-def _single_threaded() -> None:
-    """Run every route's chunks on the calling thread (``power``'s pool
-    workers, which already fill the CPUs, call this at start-up)."""
-    global _threads
-    _threads = 1
 
 
 def _thread_count() -> int:
-    if _threads is not None:
-        return _threads
+    """Threads for a fanned-out route: one per CPU the process may use, but
+    one in any multiprocessing child, whose siblings already fill the CPUs."""
+    import multiprocessing  # kept out of the CLI's start-up
+
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -171,48 +166,32 @@ def _row_blocks(block, reps: int, n: int) -> tuple:
     A route of fewer than ``_FAN_OUT_WORDS`` (2**18) words runs on the calling
     thread in chunks of the sampler's word budget, ``_PHILOX_BLOCK // n`` rows
     but at least one, the last chunk holding what is left. A larger route runs
-    on T threads, T the CPUs the process may use but at most the chunk count,
-    and its chunks hold ``_PHILOX_BLOCK // T`` words, so the T chunks in
-    flight hold the words of one serial chunk. Each thread writes its chunk's
-    columns into their row range. A failing chunk cancels the chunks not yet
-    started, and the first error in row order is raised, as the serial loop
-    raises it: chunks start in row order, so every chunk before a failing one
-    has started. The pool is made and shut down within the call, so no thread
-    is left running.
+    on T threads (see :func:`_thread_count`), at most the chunk count, and its
+    chunks hold ``_PHILOX_BLOCK // T`` words, so the T chunks in flight hold
+    the words of one serial chunk. Either way the chunks go through one
+    ordered map, and the calling thread writes each chunk's columns into
+    their row range as it arrives, so the first error in row order is raised
+    and the chunks not yet started are cancelled. The pool is made and shut
+    down within the call, so no thread is left running.
     """
     threads = _thread_count() if reps * n >= _FAN_OUT_WORDS else 1
     rows = max(1, _PHILOX_BLOCK // threads // max(n, 1))
     spans = [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
     threads = min(threads, len(spans))
-    out = []
-    lock = threading.Lock()
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # kept out of the CLI's start-up
 
-    def run(lo, hi):
-        part = block(lo, hi)
-        with lock:
-            if not out:
-                out.extend({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
-        for cols, d in zip(out, part):
-            for k, v in d.items():
-                cols[k][lo:hi] = v
-
-    if threads <= 1:
-        for lo, hi in spans:
-            run(lo, hi)
-        return tuple(out)
-
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-
-    pool = ThreadPoolExecutor(threads)
-    try:
-        futures = [pool.submit(run, lo, hi) for lo, hi in spans]
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        pool.shutdown(cancel_futures=True)
-    for f in futures:
-        if not f.cancelled():
-            f.result()
-    return tuple(out)
+    out = None
+    workers = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
+    with workers as pool:
+        parts = (pool.map if pool else map)(lambda s: block(*s), spans)
+        for (lo, hi), part in zip(spans, parts):
+            if out is None:
+                out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
+            for cols, d in zip(out, part):
+                for k, v in d.items():
+                    cols[k][lo:hi] = v
+    return out
 
 
 def pivotal_statistic_rows(kinds, x: np.ndarray):
@@ -228,18 +207,6 @@ def pivotal_statistic_rows(kinds, x: np.ndarray):
     return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0), b
 
 
-def plugin_statistic_rows(kinds, x: np.ndarray, estimator: EstimatorMethod):
-    """Statistics with the chosen estimate plugged in directly, row-wise.
-
-    Returns ``(stats, betas)``. This is the reporting convention for both
-    estimators and the decision convention for the MME route.
-    """
-    estimator = EstimatorMethod(estimator)
-    x = np.asarray(x, dtype=np.float64)
-    b = (mle_rows if estimator is EstimatorMethod.MLE else mme_rows)(x)
-    return statistic_rows(kinds, x, b), b
-
-
 # Estimates are used as computed: on rows on the support (finite, > 1) the
 # MLE is finite and positive, and a non-finite or non-positive MME raises
 # DomainError in bootstrap_rows or in the statistics' shape check.
@@ -248,7 +215,8 @@ def _decide(kinds, x: np.ndarray, estimator: EstimatorMethod):
     shape one on the MLE route, plug-in on the MME route."""
     if estimator is EstimatorMethod.MLE:
         return pivotal_statistic_rows(kinds, x)
-    return plugin_statistic_rows(kinds, x, estimator)
+    b = mme_rows(x)
+    return statistic_rows(kinds, x, b), b
 
 
 def _pool(kinds, estimator: EstimatorMethod, draw, reps: int, n: int) -> dict:

@@ -36,7 +36,6 @@ from .inference import (
     CriticalValueTable,
     PowerEstimate,
     TestResult,
-    _single_threaded,
     bootstrap_pvalue_many,
     null_critical_values,
     power_fixed_critical_many,
@@ -259,9 +258,7 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     cells: dict = {}
     from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
 
-    # the workers fill the CPUs, so each runs its routes on one thread
-    workers = (ProcessPoolExecutor(max_workers=jobs, initializer=_single_threaded)
-               if jobs > 1 else nullcontext())
+    workers = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
     with workers as pool:
         outcomes = (pool.map if pool else map)(
             _cell_outcome, repeat(config), repeat(n_idx),

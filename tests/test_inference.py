@@ -15,7 +15,9 @@ import pytest
 
 import paretogof
 from paretogof import (
+    AD,
     ALL_KINDS,
+    CV,
     AlternativeSpec,
     ConfigurationError,
     CriticalValueTable,
@@ -31,6 +33,7 @@ from paretogof import (
     Sample,
     StudyConfig,
     UnsupportedPathError,
+    ZA,
     bootstrap_pvalue,
     bootstrap_pvalue_many,
     null_critical_value,
@@ -47,7 +50,6 @@ from paretogof.estimation import estimate_shape, mle_rows, mme_rows
 from paretogof.inference import (
     DEFAULT_ALPHAS,
     pivotal_statistic_rows,
-    plugin_statistic_rows,
     power_fixed_critical_many,
     warp_speed_power_many,
 )
@@ -101,7 +103,8 @@ def test_pivotal_and_plugin_agree_except_for_the_mellin_statistic():
     # values are tracked separately on the MLE route
     x = pareto_rows(2.0, 25, 4, RandomStream(600, 0))
     piv, b_piv = pivotal_statistic_rows(PARETO_KINDS, x)
-    plug, b_plug = plugin_statistic_rows(PARETO_KINDS, x, MLE)
+    b_plug = mle_rows(x)
+    plug = statistic_rows(PARETO_KINDS, x, b_plug)
     np.testing.assert_allclose(b_piv, b_plug, rtol=1e-15)
     for k in PARETO_KINDS:
         if k is MELLIN_G:
@@ -110,11 +113,33 @@ def test_pivotal_and_plugin_agree_except_for_the_mellin_statistic():
             np.testing.assert_allclose(piv[k], plug[k], rtol=1e-9)
 
 
+@pytest.mark.parametrize("law", [AlternativeSpec(Family.PARETO, 0.3), GAMMA12,
+                                 AlternativeSpec(Family.LOG_NORMAL, 2.5)],
+                         ids=["pareto0.3", "gamma1.2", "lognormal2.5"])
+def test_the_exponentiality_suite_is_the_edf_suite_at_the_mle(law):
+    # a fitted exponential on log x has the CDF 1 - x**(-mle), the model CDF
+    # at the MLE: on raw rows the same operations give the same bits, and on
+    # pivotal rows the log-scale refit differs from shape one by rounding
+    x = alternative_rows(law, 20, 1000, RandomStream(600, 2))
+    edf = [KS, CV, AD, ZA]
+    exp = statistic_rows(EXP_KINDS, x)
+    at_mle = statistic_rows(edf, x, mle_rows(x))
+    piv_exp, _ = pivotal_statistic_rows(EXP_KINDS, x)
+    piv_edf, _ = pivotal_statistic_rows(edf, x)
+    for e, k in zip(EXP_KINDS, edf):
+        assert np.array_equal(exp[e], at_mle[k]), e
+        np.testing.assert_allclose(piv_exp[e], piv_edf[k], rtol=1e-12, atol=0)
+
+
 def test_plugin_rows_use_the_requested_estimator():
+    # the moment route's plug-in decisions take the moment estimate, the
+    # likelihood route's pivotal ones the MLE
     x = pareto_rows(2.0, 3, 5, RandomStream(600, 1))
-    _, b_mme = plugin_statistic_rows([KS], x, MME)
-    _, b_mle = plugin_statistic_rows([KS], x, "mle")
+    stats_mme, b_mme = inference._decide([KS], x, MME)
+    _, b_mle = inference._decide([KS], x, MLE)
+    assert np.array_equal(b_mme, mme_rows(x)) and np.array_equal(b_mle, mle_rows(x))
     assert not np.allclose(b_mme, b_mle)
+    assert np.array_equal(stats_mme[KS], statistic_rows([KS], x, b_mme)[KS])
 
 
 # ---------------------------------------------------------------------------
@@ -593,10 +618,15 @@ def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
 # thread fan-out
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Make the process look as if it may use ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def _fanned_out(monkeypatch, threads, words):
     """Fan every route out over ``threads`` threads in chunks of ``words //
     threads`` words; record each chunk's rows and thread, and the columns."""
-    monkeypatch.setattr(inference, "_threads", threads)
+    _usable_cpus(monkeypatch, threads)
     monkeypatch.setattr(inference, "_FAN_OUT_WORDS", 1)
     monkeypatch.setattr(inference, "_PHILOX_BLOCK", words)
     seen = {"spans": [], "idents": set(), "columns": []}
@@ -690,7 +720,7 @@ def test_every_route_gives_the_columns_of_one_whole_block_on_any_thread_count(
 
 
 def test_a_route_below_the_fan_out_threshold_runs_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(inference, "_threads", 3)
+    _usable_cpus(monkeypatch, 3)
     seen = []
 
     def block(lo, hi):
@@ -707,8 +737,8 @@ def test_a_route_below_the_fan_out_threshold_runs_on_the_calling_thread(monkeypa
 
 def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
     # chunk 2 fails first in time, chunk 1 after it: chunk 1's error is the
-    # one the serial loop raises
-    monkeypatch.setattr(inference, "_threads", 3)
+    # one a run on one thread raises
+    _usable_cpus(monkeypatch, 3)
     later_failed = threading.Event()
     started = []
 
@@ -734,10 +764,10 @@ def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
 
 def test_the_fan_out_keeps_every_row_under_frequent_thread_switches(monkeypatch):
     # more threads than cores, the first chunks finishing together and a short
-    # switch interval: two chunks that both allocated the columns would leave
-    # rows in a table nobody returns
+    # switch interval: every chunk's rows must still land in the one set of
+    # columns that is returned
     threads = 8
-    monkeypatch.setattr(inference, "_threads", threads)
+    _usable_cpus(monkeypatch, threads)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -779,15 +809,17 @@ def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # the thread and process pools are imported where they are made
+    # the thread and process pools, and the child-process check of the thread
+    # count, are imported where they are used
     src = str(Path(paretogof.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import paretogof.cli, sys; print('concurrent.futures' in sys.modules)"],
+         "import paretogof.cli, sys; "
+         "print('concurrent.futures' in sys.modules, 'multiprocessing' in sys.modules)"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def _sample_with_mle(target, n, seed):
