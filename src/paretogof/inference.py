@@ -60,6 +60,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -143,10 +144,11 @@ _FAN_OUT_WORDS = 1 << 18
 
 def _thread_count() -> int:
     """Threads for a fanned-out route: one per CPU the process may use, but
-    one in any multiprocessing child, whose siblings already fill the CPUs."""
-    import multiprocessing  # kept out of the CLI's start-up
-
-    if multiprocessing.parent_process() is not None:
+    one in any multiprocessing child, whose siblings already fill the CPUs.
+    A child started through ``multiprocessing`` has it loaded, so a process
+    without it is no child and need not import it (about 0.5 MB)."""
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
         return 1
     try:
         return len(os.sched_getaffinity(0))

@@ -808,9 +808,22 @@ def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
     assert len(failed) == 2 and all(note.endswith("failed (fanned out)") for note in failed)
 
 
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_a_child_started_without_fork_runs_its_routes_on_one_thread(method, monkeypatch):
+    # a spawned child imports multiprocessing to start; the thread rule reads
+    # it from sys.modules rather than importing it in every process
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    _usable_cpus(monkeypatch, 3)
+    assert inference._thread_count() == 3
+    context = multiprocessing.get_context(method)
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(inference._thread_count).result() == 1
+
+
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # the thread and process pools, and the child-process check of the thread
-    # count, are imported where they are used
+    # the thread and process pools are imported where they are made, and the
+    # thread rule never imports multiprocessing
     src = str(Path(paretogof.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
