@@ -465,11 +465,6 @@ def alt_cdf(spec: AlternativeSpec, x):
     return out if out.ndim else float(out)
 
 
-def _alt_draw(spec: AlternativeSpec):
-    """The family's sampler: a :class:`_Quantile` or a ``(g, n)`` closure."""
-    return _FAMILIES[spec.family].draw(spec.theta)
-
-
 # ---------------------------------------------------------------------------
 # Mixtures
 
@@ -506,17 +501,6 @@ def _on_support(x: np.ndarray):
     return np.all(np.isfinite(x) & (x > 1.0), axis=-1)
 
 
-def _redrawn(draw, substream: int) -> np.ndarray:
-    """Redraw one invalid row with ``draw()``, which continues the row's substream."""
-    for _ in range(_MAX_REDRAWS):
-        row = draw()
-        if _on_support(row):
-            return row
-    raise DomainError(
-        f"substream {substream} produced no valid sample in {_MAX_REDRAWS} redraws"
-    )
-
-
 def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
                draw) -> np.ndarray:
     """Draw a (reps, n) matrix, row r from substream ``offset + step * r``.
@@ -530,8 +514,10 @@ def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
 
     One support check (finite, strictly above one) then marks the rows that hit
     an endpoint. Each is re-keyed, replays its first draw and continues its own
-    substream, so no other row moves. Without such a row the batch path never
-    loads ``numpy.random``.
+    substream for up to ``_MAX_REDRAWS`` more draws, so no other row moves; a
+    row still off the support raises :class:`DomainError`. Without such a row
+    the batch path never loads ``numpy.random``. Every sampler of this module
+    comes here, a single sample as a one-row block.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -563,14 +549,19 @@ def _fill_rows(n: int, reps: int, stream: RandomStream, offset: int, step: int,
     for r in np.flatnonzero(~_on_support(out)).tolist():
         g = keyed(r)
         row(g, r)  # the first draw, already in out[r]
-        out[r] = _redrawn(lambda: row(g, r), offset + step * r)
+        for _ in range(_MAX_REDRAWS):
+            out[r] = row(g, r)
+            if _on_support(out[r]):
+                break
+        else:
+            raise DomainError(f"substream {offset + step * r} produced no valid sample "
+                              f"in {_MAX_REDRAWS} redraws")
     return out
 
 
 def pareto_sample(beta: float, n: int, stream: RandomStream) -> Sample:
-    """Draw ``n`` variates from the Pareto model by inverse transform."""
-    beta = _check_beta(beta)
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _Quantile(_pareto_quantile, beta))[0])
+    """Draw ``n`` variates from the Pareto model: row 0 of :func:`pareto_rows`."""
+    return Sample(pareto_rows(beta, n, 1, stream)[0])
 
 
 def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
@@ -581,13 +572,14 @@ def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
 
 
 def alt_sample(spec: AlternativeSpec, n: int, stream: RandomStream) -> Sample:
-    """Draw ``n`` variates from one alternative family."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _alt_draw(spec))[0])
+    """Draw ``n`` variates from one alternative: row 0 of :func:`alternative_rows`."""
+    return Sample(alternative_rows(spec, n, 1, stream)[0])
 
 
 def mixture_sample(spec: MixtureSpec, n: int, stream: RandomStream) -> Sample:
-    """Draw ``n`` variates from a contaminated Pareto mixture."""
-    return Sample(_fill_rows(n, 1, stream, 0, 1, _mixture_draw(spec))[0])
+    """Draw ``n`` variates from a contaminated Pareto mixture: row 0 of
+    :func:`alternative_rows`."""
+    return Sample(alternative_rows(spec, n, 1, stream)[0])
 
 
 def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
@@ -596,7 +588,7 @@ def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
     if isinstance(spec, MixtureSpec):
         draw = _mixture_draw(spec)
     elif isinstance(spec, AlternativeSpec):
-        draw = _alt_draw(spec)
+        draw = _FAMILIES[spec.family].draw(spec.theta)
     else:
         raise TypeError(f"expected AlternativeSpec or MixtureSpec, got {type(spec).__name__}")
     return _fill_rows(n, reps, stream, offset, step, draw)

@@ -192,30 +192,23 @@ def _edf_sorted(pw: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # row kernels: x is (m, n), beta is (m,), f is the clamped CDF at sorted rows
+# and j the ranks 1..n
 
 
-def _ks_rows(f: np.ndarray) -> np.ndarray:
-    n = f.shape[1]
-    j = np.arange(1, n + 1, dtype=np.float64)
+def _ks_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.maximum((j / n - f).max(axis=1), (f - (j - 1.0) / n).max(axis=1))
 
 
-def _cv_rows(f: np.ndarray) -> np.ndarray:
-    n = f.shape[1]
-    j = np.arange(1, n + 1, dtype=np.float64)
+def _cv_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return 1.0 / (12.0 * n) + np.sum((f - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
 
 
-def _ad_rows(f: np.ndarray) -> np.ndarray:
-    n = f.shape[1]
-    j = np.arange(1, n + 1, dtype=np.float64)
+def _ad_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     inner = (2.0 * j - 1.0) * (np.log(f) + np.log1p(-f[:, ::-1]))
     return -n - np.sum(inner, axis=1) / n
 
 
-def _za_rows(f: np.ndarray) -> np.ndarray:
-    n = f.shape[1]
-    j = np.arange(1, n + 1, dtype=np.float64)
+def _za_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return -np.sum(
         np.log(f) / (n - j + 0.5) + np.log1p(-f) / (j - 0.5), axis=1
     )
@@ -384,6 +377,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
     out = {}
     clamped = {}
     edf = {}  # False for the model CDF, True for the fitted log-scale one
+    j = np.arange(1, n + 1, dtype=np.float64)
     for k in wanted:
         tag = k.tag
         if tag in _EDF_KERNELS:
@@ -391,7 +385,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
             if exp not in edf:
                 edf[exp] = _edf_sorted(_row_power(xs, -mle_rows(x)[:, None]) if exp else pw)
             f, hit = edf[exp]
-            out[k] = _EDF_KERNELS[tag](f)
+            out[k] = _EDF_KERNELS[tag](f, j, n)
             if tag in _LOG_TAGS:
                 clamped[k] = hit
         elif tag is TestTag.MP1:

@@ -17,7 +17,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import product, repeat
 
 import numpy as np
 
@@ -211,15 +211,23 @@ def _run_cell(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
 
 def _cell_outcome(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
                   cv_table: CriticalValueTable | None):
-    """``(cells, None)`` for a cell that ran, ``(None, reason)`` for one that failed.
+    """``(cells, notes)`` of one grid cell.
 
-    Every worker count applies this one failure policy. The exception is
-    caught outside :func:`_run_cell` so that a failed cell still raises there.
+    ``cells`` maps (alternative, kind, estimator) to the cell's estimates, and
+    ``notes`` names each kind its route cannot run. A cell that fails has no
+    estimates and one note, its failure. Every worker count applies this one
+    failure policy. The exception is caught outside :func:`_run_cell` so that
+    a failed cell still raises there.
     """
+    alt = config.alternatives[alt_idx]
+    estimator = config.estimators[est_idx]
     try:
-        return _run_cell(config, n_idx, alt_idx, est_idx, cv_table), None
+        result = _run_cell(config, n_idx, alt_idx, est_idx, cv_table)
     except (DomainError, ValueError) as exc:
-        return None, str(exc)
+        return {}, [f"{alt.label} / {estimator.value}: failed ({exc})"]
+    return ({(alt, kind, estimator): est for kind, est in result.items()},
+            [f"{alt.label} / {kind.label} / {estimator.value}: not applicable on this route"
+             for kind in config.tests if kind not in result])
 
 
 def run_power_table(config: StudyConfig, n: int | None = None,
@@ -229,7 +237,9 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     The MLE columns tabulate critical values from one shared P(1) pool and
     reuse them across every alternative; the MME columns run the warp-speed
     bootstrap per alternative. Cells are deterministic functions of the
-    master seed and the cell's grid position.
+    master seed and the cell's grid position. Each (alternative, estimator)
+    task returns its cells and notes (see :func:`_cell_outcome`), and the
+    table merges them in task order, alternative-major.
     """
     if n is None:
         if len(config.sample_sizes) != 1:
@@ -242,7 +252,6 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     n_idx = config.sample_sizes.index(n)
 
     start = time.perf_counter()
-    notes: list = []
     cv_table = None
     if EstimatorMethod.MLE in config.estimators:
         cv_table = null_critical_values(
@@ -250,43 +259,25 @@ def run_power_table(config: StudyConfig, n: int | None = None,
             _cv_stream(config, n_idx),
         )
 
-    tasks = [
-        (alt_idx, est_idx)
-        for alt_idx in range(len(config.alternatives))
-        for est_idx in range(len(config.estimators))
-    ]
+    alt_ids, est_ids = zip(*product(range(len(config.alternatives)),
+                                    range(len(config.estimators))))
     cells: dict = {}
+    notes: list = []
     from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
 
     workers = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
     with workers as pool:
-        outcomes = (pool.map if pool else map)(
-            _cell_outcome, repeat(config), repeat(n_idx),
-            [a for a, _ in tasks], [e for _, e in tasks], repeat(cv_table),
-        )
-        for (alt_idx, est_idx), (result, error) in zip(tasks, outcomes):
-            alt = config.alternatives[alt_idx]
-            estimator = config.estimators[est_idx]
-            if error is not None:
-                notes.append(f"{alt.label} / {estimator.value}: failed ({error})")
-                continue
-            for kind, est in result.items():
-                cells[(alt, kind, estimator)] = est
-            notes.extend(
-                f"{alt.label} / {kind.label} / {estimator.value}: not applicable on this route"
-                for kind in config.tests if kind not in result
-            )
+        for part, part_notes in (pool.map if pool else map)(
+                _cell_outcome, repeat(config), repeat(n_idx), alt_ids, est_ids,
+                repeat(cv_table)):
+            cells.update(part)
+            notes.extend(part_notes)
 
-    columns = tuple(
-        (kind, estimator)
-        for kind in config.tests
-        for estimator in config.estimators
-    )
     return PowerTable(
         n=n,
         alpha=config.alpha,
         rows=config.alternatives,
-        columns=columns,
+        columns=tuple(product(config.tests, config.estimators)),
         cells=cells,
         seed=config.master_seed,
         wall_clock=time.perf_counter() - start,

@@ -49,6 +49,15 @@ def test_read_numeric_file_names_the_bad_line(tmp_path):
         read_numeric_file(bad)
 
 
+def test_read_numeric_file_refuses_a_file_without_numbers(tmp_path):
+    from paretogof.cli import CliParseError
+
+    headed = tmp_path / "headed.csv"
+    headed.write_text("earnings\n\n")  # a header and a blank line
+    with pytest.raises(CliParseError, match="no numeric observations found"):
+        read_numeric_file(headed)
+
+
 # ---------------------------------------------------------------------------
 # test subcommand
 
@@ -210,9 +219,11 @@ def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
     (["power", "--alternatives", "gamma:-1"], "theta must be positive", "--alternatives"),
     (["power", "--alternatives", "expmix:2"], "mixing proportion must lie in [0, 1]",
      "--alternatives"),
+    (["power", "--alternatives", "gamma:x"], "has a non-numeric parameter",
+     "--alternatives"),
     (["test", "data.txt", "--tests", "g", "--tuning-a", "0"],
      "tuning constant must be positive", "--tuning-a"),
-], ids=["gamma", "expmix", "tuning-a"])
+], ids=["gamma", "expmix", "gamma-x", "tuning-a"])
 def test_option_values_outside_their_domain_are_usage_errors(argv, message, option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -432,6 +443,9 @@ def test_cmd_power_config_file_with_flag_precedence(tmp_path, capsys):
 
 
 def test_cmd_power_bad_config_file_exits_three(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["power", "--config", str(missing), "--seed", "1"]) == 3
+    assert f"cannot read {missing}" in capsys.readouterr().err
     conf = tmp_path / "broken.json"
     conf.write_text("{not json")
     assert main(["power", "--config", str(conf), "--seed", "1"]) == 3

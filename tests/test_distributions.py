@@ -306,6 +306,19 @@ def test_pareto_rows_match_per_substream_samples():
     for r in range(4):
         expect = pareto_sample(2.0, 15, stream.shifted(5 + 3 * r)).values
         np.testing.assert_array_equal(rows[r], expect)
+    # a single sample is its substream's row, whichever sampler takes the spec:
+    # a ziggurat family, a uniform-driven family and a mixture
+    for spec in (AlternativeSpec(Family.GAMMA, 1.2),
+                 AlternativeSpec(Family.LINEAR_FAILURE_RATE, 0.8),
+                 MixtureSpec(0.5, Contaminant.SHIFTED_LOG_NORMAL)):
+        rows = alternative_rows(spec, 15, 4, stream, offset=5, step=3)
+        for r in range(4):
+            sub = stream.shifted(5 + 3 * r)
+            np.testing.assert_array_equal(rows[r], alt_sample(spec, 15, sub).values)
+            np.testing.assert_array_equal(rows[r], mixture_sample(spec, 15, sub).values)
+    for sample in (alt_sample, mixture_sample):
+        with pytest.raises(TypeError, match="AlternativeSpec or MixtureSpec"):
+            sample(Family.GAMMA, 15, stream)
 
 
 def test_alternative_rows_accepts_both_spec_types():

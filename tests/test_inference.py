@@ -155,6 +155,14 @@ def test_exponentiality_kinds_refuse_the_moment_route():
                               RandomStream(601, 2))
 
 
+def test_every_route_needs_at_least_one_kind():
+    s = pareto_sample(2.0, 20, RandomStream(601, 4))
+    with pytest.raises(ValueError, match="need at least one test kind"):
+        null_critical_values([], 20, [0.05], 1000, RandomStream(601, 5))
+    with pytest.raises(ValueError, match="need at least one test kind"):
+        bootstrap_pvalue_many([], MME, s, 100, RandomStream(601, 6))
+
+
 def test_critical_values_are_mle_only():
     with pytest.raises(UnsupportedPathError, match="bootstrap"):
         null_critical_value(KS, 20, 0.05, 1000, RandomStream(601, 3), estimator=MME)
@@ -170,6 +178,7 @@ def test_table_put_value_contains_len():
     assert t.value(KS, MLE, 20, 0.05) == 0.3
     assert (KS, MLE, 20, 0.05) in t
     assert (MP2, MLE, 20, 0.05) not in t
+    assert (KS, "mle", np.int64(20), 0.05) in t  # coerced as put() coerces its key
     assert len(t) == 1
     with pytest.raises(ConfigurationError, match="MP2"):
         t.value(MP2, MLE, 20, 0.05)
@@ -205,6 +214,11 @@ def test_table_load_rejects_foreign_and_mixed_files(tmp_path):
     )
     with pytest.raises(ConfigurationError, match="mixes"):
         CriticalValueTable.load(mixed)
+
+    headless = tmp_path / "headless.csv"
+    headless.write_text("paretogof-critical-values v1\nkind,estimator,n,alpha,value\n")
+    with pytest.raises(ConfigurationError, match="unexpected column header"):
+        CriticalValueTable.load(headless)
 
     empty = tmp_path / "empty.csv"
     empty.write_text(
@@ -310,6 +324,13 @@ def test_power_checks_the_table_before_sampling():
     with pytest.raises(ConfigurationError):
         # reps is absurd on purpose: if sampling happened first this would hang
         power_fixed_critical(KS, GAMMA12, 20, 0.05, 10**9, empty, RandomStream(604, 0))
+
+
+def test_power_fixed_critical_needs_one_replication():
+    table = CriticalValueTable(reps=1000, seed=0)
+    table.put(KS, MLE, 20, 0.05, 0.5)
+    with pytest.raises(ValueError, match="reps must be at least 1"):
+        power_fixed_critical_many([KS], GAMMA12, 20, 0.05, 0, table, RandomStream(604, 7))
 
 
 def test_power_routes_refuse_a_non_spec_alternative_at_the_first_draw():

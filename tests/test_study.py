@@ -18,6 +18,7 @@ from paretogof import (
     EstimatorMethod,
     FIXED_ALTERNATIVES,
     Family,
+    GolfDataset,
     MixtureSpec,
     PARETO_KINDS,
     PowerTable,
@@ -109,6 +110,8 @@ def test_config_validation():
         StudyConfig(desk_scale=1.5)
     with pytest.raises(ValueError):
         StudyConfig(estimators=("nope",))
+    with pytest.raises(ValueError, match="power replications fall below 1000"):
+        StudyConfig(power_reps=9_000)
 
 
 def test_config_coerces_sequences():
@@ -277,6 +280,13 @@ def test_run_power_table_requires_a_listed_sample_size(small_table):
     cfg, _ = small_table
     with pytest.raises(ValueError):
         run_power_table(cfg, n=99)
+    one = StudyConfig(sample_sizes=(10,), tests=(KS,), estimators=(MLE,),
+                      alternatives=(AlternativeSpec(Family.GAMMA, 1.2),),
+                      critical_reps=1000, power_reps=1000, desk_scale=1.0)
+    # without n= the one listed size is taken, and several are refused
+    assert run_power_table(one).cells == run_power_table(one, n=10).cells
+    with pytest.raises(ValueError, match="several sample sizes; pass n="):
+        run_power_table(StudyConfig(sample_sizes=(10, 15)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +301,11 @@ def test_golf_datasets_match_their_reference_summaries():
     assert round(liv.mean_earnings) == 7_989_306
     assert np.all(pga.sample.values > 1.0)
     assert np.all(liv.sample.values > 1.0)
+
+
+def test_golf_dataset_holds_28_observations():
+    with pytest.raises(DomainError, match="each tour dataset holds 28 observations"):
+        GolfDataset(Tour.PGA, golf_dataset(Tour.PGA).raw[:27])
 
 
 def test_golf_scaling_is_the_session_cutoff():
@@ -375,6 +390,8 @@ def test_render_table_rejects_unknown_formats(small_table):
         render_table(tab, "xml")
     with pytest.raises(TypeError):
         render_table(object())
+    with pytest.raises(TypeError, match="a PowerTable or a list of TestResult"):
+        render_table([tab])
 
 
 def test_empty_power_table_renders_header_only():
