@@ -37,19 +37,13 @@ evaluated the same way in a block of any size. Only the statistic columns,
 joined in row order, grow with the replication count, and every number
 equals a whole-block run.
 
-A route of at least ``2**18`` words (rows times n) runs its chunks on T
-threads, one per CPU the process may use (``os.sched_getaffinity``, so
-``taskset`` limits it) and at most one per chunk. The ``2**16``-word budget
-is then split, a chunk holding ``2**16 // T`` words, so the words in flight
-and the peak memory stay those of one serial chunk. A smaller route, and
-every route in a multiprocessing child such as a ``power --jobs`` worker,
-runs its chunks in turn on the calling thread. The threshold is kept for
-memory, not speed: without it, a power study's shared critical-value pool
-(200 000 words at desk scale and n = 20) fans out in the parent process
-before the ``--jobs`` workers fork, and the desk-scale power grid's peak
-memory rose from 108 to 113 MB (medians of 12 alternating pairs on 2
-vCPUs), while the n = 1000 ``test`` drew about 20 % more replications per
-second. Either way one ordered map runs the chunks and the calling thread
+A route of more than one chunk runs its chunks on T threads, one per CPU
+the process may use (``os.sched_getaffinity``, so ``taskset`` limits it)
+and at most one per chunk. The ``2**16``-word budget is then split, a
+chunk holding ``2**16 // T`` words, so the words in flight and the peak
+memory stay those of one serial chunk. A one-chunk route, and every route
+in a multiprocessing child such as a ``power --jobs`` worker, runs on the
+calling thread. One ordered map runs the chunks and the calling thread
 writes their columns in row order. Rows draw their own substreams, so
 every column is the same, bit for bit, whatever T is.
 
@@ -143,12 +137,6 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 # evaluation conventions
 
 
-# a route fans its chunks out over threads from this many words (rows times n);
-# below it stays a power study's critical-value pool, which would otherwise
-# start threads in the parent before the workers fork (see the module docstring)
-_FAN_OUT_WORDS = 1 << 18
-
-
 def _thread_count() -> int:
     """Threads for a fanned-out route: one per CPU the process may use, but
     one in any multiprocessing child, whose siblings already fill the CPUs.
@@ -172,18 +160,18 @@ def _row_blocks(block, reps: int, n: int) -> tuple:
     estimator and kernel is row-independent, so the columns equal one
     whole-block evaluation however the rows are chunked.
 
-    A route of fewer than ``_FAN_OUT_WORDS`` (2**18) words runs on the calling
-    thread in chunks of the sampler's word budget, ``_PHILOX_BLOCK // n`` rows
-    but at least one, the last chunk holding what is left. A larger route runs
-    on T threads (see :func:`_thread_count`), at most the chunk count, and its
-    chunks hold ``_PHILOX_BLOCK // T`` words, so the T chunks in flight hold
-    the words of one serial chunk. Either way the chunks go through one
-    ordered map, and the calling thread writes each chunk's columns into
-    their row range as it arrives, so the first error in row order is raised
-    and the chunks not yet started are cancelled. The pool is made and shut
-    down within the call, so no thread is left running.
+    The chunks hold ``_PHILOX_BLOCK // T`` words, ``_PHILOX_BLOCK // T // n``
+    rows but at least one, the last chunk holding what is left, for T the
+    thread count of :func:`_thread_count`. With more than one chunk they run
+    on min(T, chunks) threads, so the T chunks in flight hold the words of
+    one serial chunk; a single chunk, or T = 1, runs on the calling thread
+    and makes no pool. Either way the chunks go through one ordered map, and
+    the calling thread writes each chunk's columns into their row range as
+    it arrives, so the first error in row order is raised and the chunks not
+    yet started are cancelled. The pool is made and shut down within the
+    call, so no thread is left running.
     """
-    threads = _thread_count() if reps * n >= _FAN_OUT_WORDS else 1
+    threads = _thread_count()
     rows = max(1, _PHILOX_BLOCK // threads // max(n, 1))
     spans = [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
     threads = min(threads, len(spans))

@@ -240,6 +240,11 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     master seed and the cell's grid position. Each (alternative, estimator)
     task returns its cells and notes (see :func:`_cell_outcome`), and the
     table merges them in task order, alternative-major.
+
+    With ``jobs > 1`` the shared pool is the process pool's first task, so it
+    runs in a worker on one thread and the workers start from a parent that
+    has run no route; with ``jobs == 1`` it runs in-process, fanned out over
+    the usable CPUs like any other route.
     """
     if n is None:
         if len(config.sample_sizes) != 1:
@@ -252,13 +257,6 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     n_idx = config.sample_sizes.index(n)
 
     start = time.perf_counter()
-    cv_table = None
-    if EstimatorMethod.MLE in config.estimators:
-        cv_table = null_critical_values(
-            config.tests, n, [config.alpha], config.scaled_reps("critical"),
-            _cv_stream(config, n_idx),
-        )
-
     alt_ids, est_ids = zip(*product(range(len(config.alternatives)),
                                     range(len(config.estimators))))
     cells: dict = {}
@@ -267,6 +265,12 @@ def run_power_table(config: StudyConfig, n: int | None = None,
 
     workers = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
     with workers as pool:
+        cv_table = None
+        if EstimatorMethod.MLE in config.estimators:
+            cv_args = (config.tests, n, [config.alpha], config.scaled_reps("critical"),
+                       _cv_stream(config, n_idx))
+            cv_table = (pool.submit(null_critical_values, *cv_args).result() if pool
+                        else null_critical_values(*cv_args))
         for part, part_notes in (pool.map if pool else map)(
                 _cell_outcome, repeat(config), repeat(n_idx), alt_ids, est_ids,
                 repeat(cv_table)):

@@ -507,9 +507,15 @@ def test_degenerate_moment_estimates_raise_and_fail_the_cell(monkeypatch):
 _ROW_BLOCKS = inference._row_blocks
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Make the process look as if it may use ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
 def _chunks_of(monkeypatch, rows, n):
-    """Chunk every route's rows ``rows`` at a time; record the chunk sizes and
-    the statistic columns the chunk map returns."""
+    """Chunk every route's rows ``rows`` at a time on one thread; record the
+    chunk sizes and the statistic columns the chunk map returns."""
+    _usable_cpus(monkeypatch, 1)
     monkeypatch.setattr(inference, "_PHILOX_BLOCK", rows * n)
     seen = {"sizes": [], "columns": []}
 
@@ -545,9 +551,10 @@ def _assert_columns(got, want):
 
 
 @pytest.mark.parametrize("reps", range(1, 12))
-def test_row_blocks_cover_every_row_once_and_never_one_alone(reps):
+def test_row_blocks_cover_every_row_once_and_never_one_alone(reps, monkeypatch):
     # every row once, in order, in 3-row chunks and a shorter last one; the
     # name is historical: a 1-row tail is now a chunk of its own
+    _usable_cpus(monkeypatch, 1)
     seen = []
 
     def block(lo, hi):
@@ -639,17 +646,13 @@ def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
 # thread fan-out
 
 
-def _usable_cpus(monkeypatch, cpus):
-    """Make the process look as if it may use ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-
-
-def _fanned_out(monkeypatch, threads, words):
+def _fanned_out(monkeypatch, threads, words=None):
     """Fan every route out over ``threads`` threads in chunks of ``words //
-    threads`` words; record each chunk's rows and thread, and the columns."""
+    threads`` words (of the sampler's budget when ``words`` is None); record
+    each chunk's rows and thread, and the columns."""
     _usable_cpus(monkeypatch, threads)
-    monkeypatch.setattr(inference, "_FAN_OUT_WORDS", 1)
-    monkeypatch.setattr(inference, "_PHILOX_BLOCK", words)
+    if words is not None:
+        monkeypatch.setattr(inference, "_PHILOX_BLOCK", words)
     seen = {"spans": [], "idents": set(), "columns": []}
 
     def spy(block, reps, n):
@@ -740,20 +743,44 @@ def test_every_route_gives_the_columns_of_one_whole_block_on_any_thread_count(
         _assert_columns(cols, oracle)
 
 
-def test_a_route_below_the_fan_out_threshold_runs_on_the_calling_thread(monkeypatch):
+def _idents_of_row_blocks(monkeypatch, reps, n):
+    """Run ``reps`` rows of size ``n`` through the chunk map on 3 usable CPUs;
+    return each chunk's thread and the arguments of each thread pool made."""
     _usable_cpus(monkeypatch, 3)
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
     seen = []
 
     def block(lo, hi):
         seen.append(threading.get_ident())
         return ({"r": np.arange(lo, hi, dtype=float)},)
 
-    n = 20
-    reps = inference._FAN_OUT_WORDS // n - 1
     out = inference._row_blocks(block, reps, n)
     assert np.array_equal(out[0]["r"], np.arange(reps))
-    assert set(seen) == {threading.get_ident()}
-    assert len(seen) == -(-reps // (inference._PHILOX_BLOCK // n))  # full-size chunks
+    return seen, made
+
+
+def test_a_one_chunk_route_runs_on_the_calling_thread(monkeypatch):
+    # a third of the budget is one chunk at T = 3: no pool is made for it
+    n = 20
+    reps = inference._PHILOX_BLOCK // 3 // n
+    seen, made = _idents_of_row_blocks(monkeypatch, reps, n)
+    assert seen == [threading.get_ident()] and made == []
+
+
+def test_a_two_chunk_route_runs_off_the_calling_thread(monkeypatch):
+    # one row more than a chunk at T = 3 is two chunks, on a pool of two
+    n = 20
+    reps = inference._PHILOX_BLOCK // 3 // n + 1
+    seen, made = _idents_of_row_blocks(monkeypatch, reps, n)
+    assert len(seen) == 2 and threading.get_ident() not in seen
+    assert made == [(2,)]
 
 
 def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
@@ -777,7 +804,7 @@ def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
     reps = 200
     before = threading.active_count()
     with pytest.raises(DomainError, match="chunk 1"):
-        inference._row_blocks(block, reps, inference._FAN_OUT_WORDS)  # 1-row chunks
+        inference._row_blocks(block, reps, inference._PHILOX_BLOCK)  # 1-row chunks
     assert threading.active_count() == before
     assert {0, 1, 2} <= set(started)
     assert len(started) < reps  # the chunks not yet started were cancelled
@@ -801,7 +828,7 @@ def test_the_fan_out_keeps_every_row_under_frequent_thread_switches(monkeypatch)
                 return ({"r": np.arange(lo, hi, dtype=float)},
                         {"s": -np.arange(lo, hi, dtype=float)})
 
-            out = inference._row_blocks(block, 500, inference._FAN_OUT_WORDS)  # 1-row chunks
+            out = inference._row_blocks(block, 500, inference._PHILOX_BLOCK)  # 1-row chunks
             assert len(out) == 2
             assert np.array_equal(out[0]["r"], np.arange(500))
             assert np.array_equal(out[1]["s"], -np.arange(500.0))
@@ -827,6 +854,55 @@ def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
     assert table.notes == [] and len(table.cells) == 2
     failed = run_power_table(cfg, n=20, jobs=1).notes  # the patches bite in process
     assert len(failed) == 2 and all(note.endswith("failed (fanned out)") for note in failed)
+    # the MLE columns' shared critical-value pool runs in a worker too
+    mle = StudyConfig(
+        sample_sizes=(20,), tests=(KS,), estimators=(MLE,), alternatives=(GAMMA12, NULL2),
+        critical_reps=1000, power_reps=1000, desk_scale=1.0,
+    )
+    table = run_power_table(mle, n=20, jobs=2)
+    assert table.notes == [] and len(table.cells) == 2
+    with pytest.raises(ValueError, match="fanned out"):  # in process, before any cell
+        run_power_table(mle, n=20, jobs=1)
+
+
+def test_a_power_pool_parent_runs_no_route(monkeypatch):
+    # with jobs > 1 the critical-value pool is the process pool's first task,
+    # so the workers start from a parent that has run no route; a forked
+    # worker appends to its own copy of the list, a spawned one has no spy
+    calls = []
+
+    def spy(block, reps, n):
+        calls.append((reps, n))
+        return _ROW_BLOCKS(block, reps, n)
+
+    monkeypatch.setattr(inference, "_row_blocks", spy)
+    cfg = StudyConfig(
+        sample_sizes=(20,), tests=(KS, MP2), estimators=(MLE, MME),
+        alternatives=(GAMMA12, NULL2), critical_reps=1000, power_reps=1000,
+        warp_reps=1000, desk_scale=1.0,
+    )
+    par = run_power_table(cfg, n=20, jobs=2)
+    assert calls == []
+    seq = run_power_table(cfg, n=20, jobs=1)
+    assert calls == [(1000, 20)] * 5  # the critical-value pool and four cells
+    assert par.cells == seq.cells and par.notes == seq.notes == []
+
+
+@pytest.mark.parametrize("estimator", [MME, MLE], ids=["mme", "mle"])
+def test_the_large_sample_bootstrap_fans_out_on_two_cpus(estimator, monkeypatch):
+    # B = 150 rows of n = 1000 at the sampler's own word budget: 32-row
+    # chunks on two threads, the route a `test` of 1000 observations runs
+    s = pareto_sample(2.5, 1000, RandomStream(614, 0))
+    B, stream = 150, RandomStream(614, 1)
+    kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
+    est = mle_rows if estimator is MLE else mme_rows
+    xb = bootstrap_rows(np.full(B, estimate_shape(s, estimator).value), s.n, stream)
+    want = _decision_oracle(kinds, xb, est(xb), estimator)
+    seen = _fanned_out(monkeypatch, 2)
+    bootstrap_pvalue_many(kinds, estimator, s, B, stream)
+    assert len(seen["spans"]) > 1 and threading.get_ident() not in seen["idents"]
+    (got,) = seen["columns"]
+    _assert_columns(got[0], want)
 
 
 @pytest.mark.parametrize("method", ["spawn", "forkserver"])
