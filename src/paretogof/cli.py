@@ -304,6 +304,9 @@ def cmd_power(args) -> int:
         "desk_scale": 1.0 if args.full else pick(args.scale_factor, "desk_scale", float,
                                                  one=True),
     }
+    unread = next((key for key in file_conf if key != "tests" and key not in fields), None)
+    if unread is not None:
+        raise CliParseError(f"{args.config}: {unread}: no such key (see power --help)")
     config = StudyConfig(tests=tuple(tests), master_seed=args.seed,
                          **{k: v for k, v in fields.items() if v is not None})
     try:
@@ -411,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--jobs", type=_positive_int, default=None,
                        help=f"parallel workers (default ${_JOBS_ENV} or 1)")
     p_pow.add_argument("--config", default=None,
-                       help="JSON file with StudyConfig fields; flags override")
+                       help="JSON file with any of the keys tests, alternatives, "
+                       "estimators, sample_sizes, alpha and desk_scale; flags override")
     p_pow.add_argument("--output-dir", default=None)
     _add_common(p_pow, None)  # tests from --config, else the pareto suite
     p_pow.set_defaults(func=cmd_power)

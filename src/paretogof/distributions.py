@@ -293,24 +293,28 @@ class MixtureSpec:
 # Null model
 
 
-def _check_beta(beta: float) -> float:
-    beta = float(beta)
-    if not np.isfinite(beta) or beta <= 0:
-        raise DomainError(f"shape parameter must be positive, got {beta!r}")
+def _check_beta(beta):
+    """``beta``, one shape or an array of them, once every shape is finite and
+    positive. A caller of one shape passes ``float(beta)``, so an array raises
+    ``TypeError`` there."""
+    ok = np.isfinite(beta) & (beta > 0)
+    if not np.all(ok):
+        bad = np.ravel(beta)[~np.ravel(ok)][0]
+        raise DomainError(f"shape parameter must be positive and finite, got {float(bad)!r}")
     return beta
 
 
 def pareto_cdf(x, beta: float):
-    """Distribution function 1 - x**(-beta), zero at and below the support endpoint."""
-    beta = _check_beta(beta)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x > 1.0, 1.0 - np.power(np.maximum(x, 1.0), -beta), 0.0)
+    """Distribution function 1 - x**(-beta), zero at and below the support
+    endpoint; NaN at NaN."""
+    beta = _check_beta(float(beta))
+    out = 1.0 - np.power(np.maximum(np.asarray(x, dtype=np.float64), 1.0), -beta)
     return out if out.ndim else float(out)
 
 
 def pareto_ppf(u, beta: float):
     """Quantile function (1 - u)**(-1/beta) for u in [0, 1)."""
-    beta = _check_beta(beta)
+    beta = _check_beta(float(beta))
     u = np.asarray(u, dtype=np.float64)
     out = np.power(1.0 - u, -1.0 / beta)
     return out if out.ndim else float(out)
@@ -378,9 +382,8 @@ def _half_normal_draw(sigma):
 
 
 def _log_normal_cdf(y, sigma, mu=0.0):
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.where(y > 0, y, 1.0))
-        return np.where(y > 0.0, _special().ndtr((logs - mu) / sigma), 0.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and ndtr(-inf) = 0
+        return _special().ndtr((np.log(y) - mu) / sigma)
 
 
 def _log_normal_draw(sigma, mu=0.0):
@@ -404,8 +407,9 @@ class _Law(NamedTuple):
 
     ``shift`` is 1 for a law on x > 0 moved onto x > 1 and 0 for a law native
     to x > 1. ``cdf(z, theta)`` is the law's CDF at ``z = max(x - 1, 0)`` for a
-    shifted law and at ``z = x`` for a native one; the caller sets it to zero
-    at and below one. ``draw(theta)`` builds the law's sampler, a
+    shifted law and at ``z = max(x, 1)`` for a native one; :func:`_law_cdf`
+    takes that clamp, and it alone makes every law's CDF zero at and below
+    one. ``draw(theta)`` builds the law's sampler, a
     :class:`_Quantile` of uniforms or a ``(g, n)`` closure on a Generator.
     """
 
@@ -429,13 +433,10 @@ _FAMILIES = {
         "BetaExp", 1.0, lambda y, th: np.power(-np.expm1(-y), th),
         partial(_Quantile, lambda u, th: 1.0 - np.log1p(-np.power(u, 1.0 / th)))),
     Family.TILTED_PARETO: _Law(
-        "TiltedPareto", 0.0,
-        lambda x, th: np.where(x > 1.0, 1.0 - (1.0 + th) / (np.maximum(x, 1.0) + th), 0.0),
+        "TiltedPareto", 0.0, lambda x, th: 1.0 - (1.0 + th) / (x + th),
         partial(_Quantile, lambda u, th: (1.0 + th) / (1.0 - u) - th)),
     Family.DHILLON: _Law(
-        "Dhillon", 0.0,
-        lambda x, th: np.where(
-            x > 1.0, -np.expm1(-np.power(np.log(np.maximum(x, 1.0)), th + 1.0)), 0.0),
+        "Dhillon", 0.0, lambda x, th: -np.expm1(-np.power(np.log(x), th + 1.0)),
         partial(_Quantile, lambda u, th: np.exp(np.power(-np.log1p(-u), 1.0 / (th + 1.0))))),
 }
 
@@ -455,13 +456,13 @@ _CONTAMINANTS = {
 
 
 def _law_cdf(law: _Law, x: np.ndarray, theta: float):
-    return law.cdf(np.maximum(x - law.shift, 0.0) if law.shift else x, theta)
+    return law.cdf(np.maximum(x - law.shift, 0.0) if law.shift else np.maximum(x, 1.0), theta)
 
 
 def alt_cdf(spec: AlternativeSpec, x):
-    """CDF of an alternative family at ``x``; zero below the support."""
+    """CDF of an alternative family at ``x``; zero at and below one, NaN at NaN."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.where(x <= 1.0, 0.0, _law_cdf(_FAMILIES[spec.family], x, spec.theta))
+    out = np.asarray(_law_cdf(_FAMILIES[spec.family], x, spec.theta))
     return out if out.ndim else float(out)
 
 
@@ -484,11 +485,11 @@ def _mixture_draw(spec: MixtureSpec):
 
 
 def mixture_cdf(spec: MixtureSpec, x):
-    """CDF of the mixture: p * contaminant + (1 - p) * mean-matched Pareto."""
+    """CDF of the mixture: p * contaminant + (1 - p) * mean-matched Pareto;
+    zero at and below one, NaN at NaN."""
     x = np.asarray(x, dtype=np.float64)
     gc = _law_cdf(_CONTAMINANTS[spec.contaminant], x, spec.contaminant_mean - 1.0)
     out = spec.p * gc + (1.0 - spec.p) * pareto_cdf(x, spec.pareto_beta)
-    out = np.where(x <= 1.0, 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -567,19 +568,17 @@ def pareto_sample(beta: float, n: int, stream: RandomStream) -> Sample:
 def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
                 offset: int = 0, step: int = 1) -> np.ndarray:
     """(reps, n) matrix of null samples; row r uses substream offset + step*r."""
-    beta = _check_beta(beta)
+    beta = _check_beta(float(beta))
     return _fill_rows(n, reps, stream, offset, step, _Quantile(_pareto_quantile, beta))
 
 
-def alt_sample(spec: AlternativeSpec, n: int, stream: RandomStream) -> Sample:
-    """Draw ``n`` variates from one alternative: row 0 of :func:`alternative_rows`."""
+def alt_sample(spec, n: int, stream: RandomStream) -> Sample:
+    """Draw ``n`` variates from an :class:`AlternativeSpec` or a
+    :class:`MixtureSpec`: row 0 of :func:`alternative_rows`."""
     return Sample(alternative_rows(spec, n, 1, stream)[0])
 
 
-def mixture_sample(spec: MixtureSpec, n: int, stream: RandomStream) -> Sample:
-    """Draw ``n`` variates from a contaminated Pareto mixture: row 0 of
-    :func:`alternative_rows`."""
-    return Sample(alternative_rows(spec, n, 1, stream)[0])
+mixture_sample = alt_sample
 
 
 def alternative_rows(spec, n: int, reps: int, stream: RandomStream,
@@ -604,6 +603,5 @@ def bootstrap_rows(betas: np.ndarray, n: int, stream: RandomStream,
     betas = np.asarray(betas, dtype=np.float64)
     if betas.ndim != 1:
         raise ValueError("betas must be one-dimensional")
-    if np.any(~np.isfinite(betas)) or np.any(betas <= 0):
-        raise DomainError("bootstrap shapes must be positive and finite")
-    return _fill_rows(n, betas.size, stream, offset, step, _Quantile(_pareto_quantile, betas))
+    return _fill_rows(n, betas.size, stream, offset, step,
+                      _Quantile(_pareto_quantile, _check_beta(betas)))

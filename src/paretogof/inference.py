@@ -372,9 +372,8 @@ def null_critical_value(kind, n: int, alpha: float, reps: int, stream: RandomStr
             "the MME route needs the parametric bootstrap "
             "(bootstrap_pvalue / warp_speed_power)"
         )
-    kind = kind if isinstance(kind, TestKind) else TestKind(kind)
-    table = null_critical_values([kind], n, [alpha], reps, stream)
-    return table.value(kind, EstimatorMethod.MLE, n, alpha)
+    (value,) = null_critical_values([kind], n, [alpha], reps, stream).entries.values()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +407,10 @@ class TestResult:
 class PowerEstimate:
     """Monte Carlo rejection proportion against one alternative.
 
-    ``alternative`` is None when the draw came from the null model itself, in
-    which case the estimate is an empirical size.
+    ``alternative`` is the :class:`~paretogof.distributions.AlternativeSpec`
+    or :class:`~paretogof.distributions.MixtureSpec` drawn from. On a null
+    row, ``AlternativeSpec(Family.PARETO, theta)``, the estimate is an
+    empirical size.
     """
 
     alternative: object
@@ -460,8 +461,8 @@ def power_fixed_critical(kind, alt, n: int, alpha: float, reps: int,
                          cv_table: CriticalValueTable,
                          stream: RandomStream) -> PowerEstimate:
     """Rejection rate of one MLE-route test at a tabulated critical value."""
-    kind = kind if isinstance(kind, TestKind) else TestKind(kind)
-    return power_fixed_critical_many([kind], alt, n, alpha, reps, cv_table, stream)[kind]
+    (est,) = power_fixed_critical_many([kind], alt, n, alpha, reps, cv_table, stream).values()
+    return est
 
 
 def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int,
@@ -499,8 +500,8 @@ def warp_speed_power_many(kinds, estimator, alt, n: int, alpha: float, reps: int
 def warp_speed_power(kind, estimator, alt, n: int, alpha: float, reps: int,
                      stream: RandomStream) -> PowerEstimate:
     """Warp-speed bootstrap power of a single test; see the batch variant."""
-    kind = kind if isinstance(kind, TestKind) else TestKind(kind)
-    return warp_speed_power_many([kind], estimator, alt, n, alpha, reps, stream)[kind]
+    (est,) = warp_speed_power_many([kind], estimator, alt, n, alpha, reps, stream).values()
+    return est
 
 
 # ---------------------------------------------------------------------------

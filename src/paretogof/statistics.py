@@ -191,8 +191,8 @@ def _edf_sorted(pw: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# row kernels: x is (m, n), beta is (m,), f is the clamped CDF at sorted rows
-# and j the ranks 1..n
+# row kernels: x is (m, n) and xs its sorted rows, b the (m, 1) shape column,
+# f the clamped CDF at xs, j the ranks 1..n and w the weights of order_weights
 
 
 def _ks_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -222,24 +222,20 @@ _EDF_KERNELS = {
 }
 
 
-def _mp1_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    n = x.shape[1]
-    b = beta[:, None]
-    w = _order_weights(n)
+def _mp1_rows(x: np.ndarray, xs: np.ndarray, b: np.ndarray, w: np.ndarray,
+              n: int) -> np.ndarray:
     t1 = (2.0 / (3.0 * n)) * np.sum(_row_power(x, -1.5 * b), axis=1)
     t2 = np.sum(w * _row_power(xs, -0.5 * b), axis=1) / n**2
     return t1 - t2 + 8.0 / 15.0
 
 
-def _mp2_rows(x: np.ndarray, xs: np.ndarray, beta: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """MP2 row-wise; ``pw`` is ``xs ** -beta``, the power the model CDF takes."""
-    n = x.shape[1]
-    b = beta[:, None]
-    w = _order_weights(n)
+def _mp2_rows(x: np.ndarray, xs: np.ndarray, b: np.ndarray, w: np.ndarray, n: int,
+              pw: np.ndarray) -> np.ndarray:
+    """MP2 row-wise; ``pw`` is ``xs ** -b``, the power the model CDF takes."""
     t1 = np.sum(w * pw, axis=1) / n**2
-    t2 = beta / n**2 * np.sum(w * pw * np.log(xs), axis=1)
+    t2 = b[:, 0] / n**2 * np.sum(w * pw * np.log(xs), axis=1)
     x2 = _row_power(x, -2.0 * b)
-    t3 = beta / n * np.sum((1.0 - x2) / (2.0 * b) - x2 * np.log(x), axis=1)
+    t3 = b[:, 0] / n * np.sum((1.0 - x2) / (2.0 * b) - x2 * np.log(x), axis=1)
     return 10.0 / 9.0 - t1 - t2 - t3
 
 
@@ -362,8 +358,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
             b = np.full(m, float(b))
         elif b.shape != (m,):
             raise ValueError(f"beta must be scalar or shape ({m},), got {b.shape}")
-        if np.any(~np.isfinite(b)) or np.any(b <= 0.0):
-            raise DomainError("beta values must be positive and finite")
+        _check_beta(b)
 
     xs = None
     if any(k.tag is not TestTag.MELLIN_G for k in wanted):
@@ -378,6 +373,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
     clamped = {}
     edf = {}  # False for the model CDF, True for the fitted log-scale one
     j = np.arange(1, n + 1, dtype=np.float64)
+    w = _order_weights(n)
     for k in wanted:
         tag = k.tag
         if tag in _EDF_KERNELS:
@@ -389,9 +385,9 @@ def _evaluate(kinds, x: np.ndarray, beta):
             if tag in _LOG_TAGS:
                 clamped[k] = hit
         elif tag is TestTag.MP1:
-            out[k] = _mp1_rows(x, xs, b)
+            out[k] = _mp1_rows(x, xs, b[:, None], w, n)
         elif tag is TestTag.MP2:
-            out[k] = _mp2_rows(x, xs, b, pw)
+            out[k] = _mp2_rows(x, xs, b[:, None], w, n, pw)
     # G's pair sums hold several (m, n) arrays and set a block's peak memory,
     # so G runs last, once the sorted rows and the CDF tables are freed
     del xs, pw, edf
@@ -444,7 +440,7 @@ def _single(kinds, sample, beta, beta_used) -> list:
 
 def _single_pareto(kind: TestKind, sample, beta: float) -> StatisticValue:
     sample = _as_sample(sample)
-    beta = _check_beta(beta)
+    beta = _check_beta(float(beta))
     return _single([kind], sample, beta, beta)[0]
 
 

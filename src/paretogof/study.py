@@ -134,17 +134,15 @@ class StudyConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not 0.0 < self.desk_scale <= 1.0:
             raise ValueError("desk_scale must lie in (0, 1]")
-        for name in ("critical", "power", "warp"):
-            if self.scaled_reps(name) < 1000:
-                raise ValueError(
-                    f"{name} replications fall below 1000 after desk scaling"
-                )
         if not self.tests or not self.estimators or not self.alternatives:
             raise ValueError("tests, estimators and alternatives must be non-empty")
         # substreams a route reaches per cell: one per replication, two for
         # the interleaved alternative and bootstrap rows of a warp-speed cell
         for name, per_rep in (("critical", 1), ("power", 1), ("warp", 2)):
-            if per_rep * self.scaled_reps(name) > _CELL_STRIDE:
+            reps = self.scaled_reps(name)
+            if reps < 1000:
+                raise ValueError(f"{name} replications fall below 1000 after desk scaling")
+            if per_rep * reps > _CELL_STRIDE:
                 raise ValueError(
                     f"{name} replications overrun the 2**32 substreams of a cell"
                 )

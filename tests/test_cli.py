@@ -262,17 +262,31 @@ def test_config_values_go_through_the_option_parsers(tmp_path, capsys):
     capsys.readouterr()
 
 
+# a key that no option reads, such as a budget or a misspelt field, is refused
+# too, rather than dropped
 @pytest.mark.parametrize("key, value", [
     ("sample_sizes", "x"), ("sample_sizes", [10.5]), ("estimators", ["map"]),
     ("alpha", "high"), ("alpha", [0.05]), ("desk_scale", None),
+    ("critical_reps", 200_000), ("power_reps", 20_000), ("warp_reps", 30_000),
+    ("master_seed", 7), ("bogus", 1),
 ], ids=["sample_sizes-x", "sample_sizes-10.5", "estimators-map", "alpha-high", "alpha-list",
-        "desk_scale-null"])
+        "desk_scale-null", "critical_reps", "power_reps", "warp_reps", "master_seed",
+        "bogus"])
 def test_config_values_their_option_rejects_exit_three(key, value, tmp_path, capsys):
     conf = tmp_path / "study.json"
     conf.write_text(json.dumps({"tests": ["ks"], "alternatives": ["pareto:2"],
                                 "sample_sizes": [10], "desk_scale": 0.1, key: value}))
     assert main(["power", "--config", str(conf), "--seed", "1"]) == 3
     assert f"{conf}: {key}: " in capsys.readouterr().err
+
+
+def test_config_help_names_every_key_a_file_may_set(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["power", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for key in ("tests", "alternatives", "estimators", "sample_sizes", "alpha", "desk_scale"):
+        assert key in out
 
 
 @pytest.mark.parametrize("key, message", [

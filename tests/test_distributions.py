@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from paretogof.distributions import (
     bootstrap_rows,
     pareto_rows,
 )
+from paretogof.statistics import KS, ks, statistic_rows
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +149,24 @@ def test_pareto_rejects_bad_shape(bad):
         pareto_cdf(2.0, bad)
     with pytest.raises(DomainError):
         pareto_ppf(0.5, bad)
+    # the same refusal for an array of shapes, whatever entry is bad
+    with pytest.raises(DomainError):
+        bootstrap_rows(np.array([1.0, bad]), 5, RandomStream(23, 0))
+    for beta in (bad, np.array([bad, 1.0])):
+        with pytest.raises(DomainError):
+            statistic_rows([KS], np.full((2, 5), 2.0), beta)
+
+
+def test_one_shape_functions_refuse_an_array_of_shapes():
+    shapes = np.array([1.0, 2.0])
+    with pytest.raises(TypeError):
+        pareto_cdf(2.0, shapes)
+    with pytest.raises(TypeError):
+        pareto_ppf(0.5, shapes)
+    with pytest.raises(TypeError):
+        pareto_rows(shapes, 5, 2, RandomStream(23, 0))
+    with pytest.raises(TypeError):
+        ks([2.0, 3.0, 4.0], shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +204,22 @@ def test_unit_shape_families_collapse_to_shifted_exponential():
     ref = -np.expm1(-(x - 1.0))
     for fam in (Family.GAMMA, Family.WEIBULL, Family.BETA_EXPONENTIAL):
         np.testing.assert_allclose(alt_cdf(AlternativeSpec(fam, 1.0), x), ref, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [AlternativeSpec(f, 1.2) for f in Family]
+                         + [MixtureSpec(0.3, c) for c in Contaminant] + [None],
+                         ids=lambda spec: "pareto_cdf" if spec is None else spec.label)
+def test_every_cdf_is_zero_at_and_below_one_and_nan_at_nan(spec):
+    if spec is None:
+        cdf = partial(pareto_cdf, beta=1.2)
+    else:
+        cdf = partial(mixture_cdf if isinstance(spec, MixtureSpec) else alt_cdf, spec)
+    edges = [-np.inf, 0.0, 0.5, 1.0]
+    assert [cdf(x) for x in edges] == [0.0] * 4
+    assert cdf(np.array(edges)).tolist() == [0.0] * 4
+    assert np.isnan(cdf(np.nan))
+    assert np.isnan(cdf(np.array([np.nan, 2.0]))[0])
 
 
 def test_alt_cdf_support_edges():
@@ -319,6 +355,7 @@ def test_pareto_rows_match_per_substream_samples():
     for sample in (alt_sample, mixture_sample):
         with pytest.raises(TypeError, match="AlternativeSpec or MixtureSpec"):
             sample(Family.GAMMA, 15, stream)
+    assert paretogof.mixture_sample is paretogof.alt_sample
 
 
 def test_alternative_rows_accepts_both_spec_types():
