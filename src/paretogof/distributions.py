@@ -396,6 +396,12 @@ def _lfr_cdf(y, th):
         return -np.expm1(-(y + 0.5 * th * y * y))
 
 
+def _weibull_cdf(y, th):
+    # y ** th overflows to inf far in the tail when th > 1, where the CDF is 1
+    with np.errstate(over="ignore"):
+        return -np.expm1(-np.power(y, th))
+
+
 def _lfr_quantile(u, th):
     load = -np.log1p(-u)
     # stable root of theta*y**2/2 + y = load
@@ -423,7 +429,7 @@ _FAMILIES = {
     Family.PARETO: _Law("Pareto", 0.0, pareto_cdf, partial(_Quantile, _pareto_quantile)),
     Family.GAMMA: _Law("Gamma", 1.0, lambda y, th: _special().gammainc(th, y),
                        lambda th: lambda g, n: 1.0 + g.gamma(th, size=n)),
-    Family.WEIBULL: _Law("Weibull", 1.0, lambda y, th: -np.expm1(-np.power(y, th)),
+    Family.WEIBULL: _Law("Weibull", 1.0, _weibull_cdf,
                          lambda th: lambda g, n: 1.0 + g.weibull(th, size=n)),
     Family.LOG_NORMAL: _Law("LogNormal", 1.0, _log_normal_cdf, _log_normal_draw),
     Family.HALF_NORMAL: _Law("HalfNormal", 1.0, _half_normal_cdf, _half_normal_draw),

@@ -77,7 +77,7 @@ from .distributions import (
     pareto_rows,
 )
 from .estimation import EstimatorMethod, estimate_shape, mle_rows, mme_rows
-from .statistics import TestKind, _unique_kinds, statistic_rows
+from .statistics import _EDF_TWIN, TestKind, _unique_kinds, statistic_rows
 
 __all__ = [
     "UnsupportedPathError",
@@ -198,10 +198,17 @@ def pivotal_statistic_rows(kinds, x: np.ndarray):
     statistics are evaluated at shape one. Returns ``(stats, betas)`` where
     ``stats`` maps each kind to a per-row array and ``betas`` holds the raw
     estimates used in the transform.
+
+    Shape one is the MLE of a transformed row by construction, so each
+    exponentiality kind is its EDF twin at shape one (ExpKS is KS, and so
+    on): it gets the twin's column, and each twin is evaluated once.
     """
     x = np.asarray(x, dtype=np.float64)
     b = mle_rows(x)
-    return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0), b
+    kinds = _unique_kinds(kinds)
+    twins = [_EDF_TWIN.get(k, k) for k in kinds]
+    stats = statistic_rows(twins, _row_power(x, b[:, None]), 1.0)
+    return {k: stats[t] for k, t in zip(kinds, twins)}, b
 
 
 # Estimates are used as computed: on rows on the support (finite, > 1) the

@@ -140,6 +140,9 @@ PARETO_KINDS = (KS, CV, AD, ZA, MELLIN_G, MP1, MP2)
 EXP_KINDS = (EXP_KS, EXP_CV, EXP_AD, EXP_ZA)
 ALL_KINDS = PARETO_KINDS + EXP_KINDS
 
+# each exponentiality kind is its EDF twin at the MLE, the rate it fits
+_EDF_TWIN = dict(zip(EXP_KINDS, (KS, CV, AD, ZA)))
+
 
 @dataclass(frozen=True)
 class StatisticValue:
@@ -184,37 +187,47 @@ def order_weights(n: int) -> np.ndarray:
 
 def _edf_sorted(pw: np.ndarray):
     """Clamped model CDF 1 - pw at the sorted values, given ``pw = xs ** -beta``,
-    plus a per-row clamp indicator."""
+    plus a per-row clamp indicator; the clamp is taken in place."""
     f = 1.0 - pw
     hit = (f < _CLAMP_EPS) | (f > 1.0 - _CLAMP_EPS)
-    return np.clip(f, _CLAMP_EPS, 1.0 - _CLAMP_EPS), hit.any(axis=1)
+    return np.clip(f, _CLAMP_EPS, 1.0 - _CLAMP_EPS, out=f), hit.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
 # row kernels: x is (m, n) and xs its sorted rows, b the (m, 1) shape column,
-# f the clamped CDF at xs, j the ranks 1..n and w the weights of order_weights
+# f the clamped CDF at xs, j the ranks 1..n and w the weights of order_weights.
+# A threaded chunk's (m, n) arrays fall just below numpy's 256 KiB threshold
+# for reusing an expression's temporaries, so the kernels update their
+# temporaries in place, in the operations and order of the plain expressions
+# (the same bits), and no kernel adds to the peak that G sets.
 
 
-def _ks_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+def _ks_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
     return np.maximum((j / n - f).max(axis=1), (f - (j - 1.0) / n).max(axis=1))
 
 
-def _cv_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    return 1.0 / (12.0 * n) + np.sum((f - (2.0 * j - 1.0) / (2.0 * n)) ** 2, axis=1)
+def _cv_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
+    d = f - (2.0 * j - 1.0) / (2.0 * n)
+    d *= d
+    return 1.0 / (12.0 * n) + np.sum(d, axis=1)
 
 
-def _ad_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    inner = (2.0 * j - 1.0) * (np.log(f) + np.log1p(-f[:, ::-1]))
+def _ad_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
+    log_f, log_1mf = logs
+    inner = log_f + log_1mf[:, ::-1]
+    inner *= 2.0 * j - 1.0
     return -n - np.sum(inner, axis=1) / n
 
 
-def _za_rows(f: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    return -np.sum(
-        np.log(f) / (n - j + 0.5) + np.log1p(-f) / (j - 0.5), axis=1
-    )
+def _za_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
+    log_f, log_1mf = logs
+    t = log_f / (n - j + 0.5)
+    t += log_1mf / (j - 0.5)
+    return -np.sum(t, axis=1)
 
 
-# EDF kernels on the clamped CDF; the Exp* tags reuse them on the fitted log scale
+# EDF kernels on the clamped CDF f and, for AD and ZA, its logs (log f,
+# log(1 - f)); the Exp* tags reuse them on the fitted log scale
 _EDF_KERNELS = {
     TestTag.KS: _ks_rows, TestTag.CV: _cv_rows, TestTag.AD: _ad_rows, TestTag.ZA: _za_rows,
     TestTag.EXP_KS: _ks_rows, TestTag.EXP_CV: _cv_rows,
@@ -230,12 +243,20 @@ def _mp1_rows(x: np.ndarray, xs: np.ndarray, b: np.ndarray, w: np.ndarray,
 
 
 def _mp2_rows(x: np.ndarray, xs: np.ndarray, b: np.ndarray, w: np.ndarray, n: int,
-              pw: np.ndarray) -> np.ndarray:
-    """MP2 row-wise; ``pw`` is ``xs ** -b``, the power the model CDF takes."""
-    t1 = np.sum(w * pw, axis=1) / n**2
-    t2 = b[:, 0] / n**2 * np.sum(w * pw * np.log(xs), axis=1)
+              pw: np.ndarray, lx: np.ndarray) -> np.ndarray:
+    """MP2 row-wise; ``pw`` is ``xs ** -b``, the power the model CDF takes, and
+    ``lx`` is log x, which G takes too."""
+    wpw = w * pw
+    t1 = np.sum(wpw, axis=1) / n**2
+    wpw *= np.log(xs)
+    t2 = b[:, 0] / n**2 * np.sum(wpw, axis=1)
+    del wpw
     x2 = _row_power(x, -2.0 * b)
-    t3 = b[:, 0] / n * np.sum((1.0 - x2) / (2.0 * b) - x2 * np.log(x), axis=1)
+    t = 1.0 - x2
+    t /= 2.0 * b
+    x2 *= lx
+    t -= x2
+    t3 = b[:, 0] / n * np.sum(t, axis=1)
     return 10.0 / 9.0 - t1 - t2 - t3
 
 
@@ -247,17 +268,17 @@ _TRAP_LO = 1e-4
 _TRAP_HI = 40.0
 
 
-def _mellin_rows(x: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
-    """The G statistic row-wise, by one of the two methods of :func:`mellin_g`,
-    chosen by n alone: the closed form up to n = 40, the 80-node trapezoid
-    rule above it. Each row's nodes read that row alone, so a row has the
-    same bits in any block. The pair check runs first, for every row.
+def _mellin_rows(lx: np.ndarray, beta: np.ndarray, a: float) -> np.ndarray:
+    """The G statistic row-wise, given log x, by one of the two methods of
+    :func:`mellin_g`, chosen by n alone: the closed form up to n = 40, the
+    80-node trapezoid rule above it. Each row's nodes read that row alone, so
+    a row has the same bits in any block. The pair check runs first, for
+    every row.
     """
-    lx = np.log(x)
     c = 1.0 + a
     if np.any(c + 2.0 * lx.min(axis=1) <= 0.0):
         raise DomainError("1 + a + log x_j + log x_k must be positive for every pair")
-    if x.shape[1] <= _CLOSED_MAX_N:
+    if lx.shape[1] <= _CLOSED_MAX_N:
         return _mellin_closed(lx, beta, c)
     return _mellin_trapezoid(lx, beta, c)
 
@@ -371,29 +392,39 @@ def _evaluate(kinds, x: np.ndarray, beta):
 
     out = {}
     clamped = {}
-    edf = {}  # False for the model CDF, True for the fitted log-scale one
-    j = np.arange(1, n + 1, dtype=np.float64)
+    # MP2 and G take the same log x
+    lx = None
+    if any(k.tag in (TestTag.MP2, TestTag.MELLIN_G) for k in wanted):
+        lx = np.log(x)
     w = _order_weights(n)
     for k in wanted:
-        tag = k.tag
-        if tag in _EDF_KERNELS:
-            exp = k.is_exponentiality
-            if exp not in edf:
-                edf[exp] = _edf_sorted(_row_power(xs, -mle_rows(x)[:, None]) if exp else pw)
-            f, hit = edf[exp]
-            out[k] = _EDF_KERNELS[tag](f, j, n)
-            if tag in _LOG_TAGS:
-                clamped[k] = hit
-        elif tag is TestTag.MP1:
+        if k.tag is TestTag.MP1:
             out[k] = _mp1_rows(x, xs, b[:, None], w, n)
-        elif tag is TestTag.MP2:
-            out[k] = _mp2_rows(x, xs, b[:, None], w, n, pw)
+        elif k.tag is TestTag.MP2:
+            out[k] = _mp2_rows(x, xs, b[:, None], w, n, pw, lx)
+    # one CDF table for the model at beta and one for the exponential fitted
+    # to log x; MP1 and MP2 run first, so the sorted rows and their power are
+    # freed once the tables are built, before any table's logs are taken
+    groups = {exp: [k for k in wanted if k.tag in _EDF_KERNELS and k.is_exponentiality == exp]
+              for exp in (False, True)}
+    tables = {exp: _edf_sorted(_row_power(xs, -mle_rows(x)[:, None]) if exp else pw)
+              for exp, group in groups.items() if group}
+    del xs, pw
+    j = np.arange(1, n + 1, dtype=np.float64)
+    for exp in list(tables):
+        f, hit = tables.pop(exp)
+        group = groups[exp]
+        logs = (np.log(f), np.log1p(-f)) if any(k.tag in _LOG_TAGS for k in group) else None
+        for k in group:
+            out[k] = _EDF_KERNELS[k.tag](f, logs, j, n)
+            if k.tag in _LOG_TAGS:
+                clamped[k] = hit
+        del f, logs
     # G's pair sums hold several (m, n) arrays and set a block's peak memory,
     # so G runs last, once the sorted rows and the CDF tables are freed
-    del xs, pw, edf
     for k in wanted:
         if k.tag is TestTag.MELLIN_G:
-            out[k] = _mellin_rows(x, b, k.tuning_a)
+            out[k] = _mellin_rows(lx, b, k.tuning_a)
     return {k: out[k] for k in wanted}, clamped
 
 
@@ -418,8 +449,15 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
 
     Notes
     -----
-    Sorting, distribution-function values and log tables are shared across
-    kinds, which is what makes large critical-value simulations affordable.
+    Each table is built once and read by every kind that needs it: the
+    sorted rows; their power x_(j)^(-beta), for the model CDF and MP2; one
+    clamped CDF table for KS, CV, AD and ZA, another at the rate fitted to
+    log x for the Exp kinds, and each table's log F and log(1 - F) for its
+    AD and ZA; and log x, for MP2 and every G. The fitted table is built
+    even though it is the model table at the MLE, since ``beta`` need not
+    be the MLE; :func:`~paretogof.inference.pivotal_statistic_rows`, whose
+    shape one is the MLE, asks for the EDF twins alone.
+
     Degenerate CDF values are clamped to [1e-15, 1 - 1e-15] silently here;
     the single-sample wrappers report a flag instead.
     """

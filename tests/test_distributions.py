@@ -285,6 +285,14 @@ def test_lfr_cdf_far_in_the_tail_is_one_without_an_overflow_warning(theta):
     assert got[0] == pytest.approx(1.0 - np.exp(-(1.0 + 0.5 * theta)), rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [0.8, 1.0, 1.2, 1.5, 2.5])
+def test_weibull_cdf_far_in_the_tail_is_one_without_an_overflow_warning(theta):
+    # (x - 1) ** theta overflows to inf for theta > 1 far out, where the CDF is 1
+    got = alt_cdf(AlternativeSpec(Family.WEIBULL, theta), [1e300, 1e200, 1e100])
+    assert np.asarray(got).tolist() == [1.0, 1.0, 1.0]
+
+
 def test_alternative_draws_live_on_support():
     for spec in _ALL_SPECS:
         vals = alt_sample(spec, 500, RandomStream(316, 0)).values

@@ -44,7 +44,7 @@ from paretogof import (
     upper_quantile,
     warp_speed_power,
 )
-from paretogof import inference
+from paretogof import inference, statistics
 from paretogof.distributions import alternative_rows, bootstrap_rows, pareto_rows
 from paretogof.estimation import estimate_shape, mle_rows, mme_rows
 from paretogof.inference import (
@@ -119,7 +119,7 @@ def test_pivotal_and_plugin_agree_except_for_the_mellin_statistic():
 def test_the_exponentiality_suite_is_the_edf_suite_at_the_mle(law):
     # a fitted exponential on log x has the CDF 1 - x**(-mle), the model CDF
     # at the MLE: on raw rows the same operations give the same bits, and on
-    # pivotal rows the log-scale refit differs from shape one by rounding
+    # pivotal rows, whose MLE is one, the Exp kinds are their twins' columns
     x = alternative_rows(law, 20, 1000, RandomStream(600, 2))
     edf = [KS, CV, AD, ZA]
     exp = statistic_rows(EXP_KINDS, x)
@@ -128,7 +128,7 @@ def test_the_exponentiality_suite_is_the_edf_suite_at_the_mle(law):
     piv_edf, _ = pivotal_statistic_rows(edf, x)
     for e, k in zip(EXP_KINDS, edf):
         assert np.array_equal(exp[e], at_mle[k]), e
-        np.testing.assert_allclose(piv_exp[e], piv_edf[k], rtol=1e-12, atol=0)
+        assert np.array_equal(piv_exp[e], piv_edf[k]), e
 
 
 def test_plugin_rows_use_the_requested_estimator():
@@ -197,6 +197,23 @@ def test_table_save_load_round_trip(tmp_path):
     assert back.reps == 5000 and back.seed == 77
     assert back.entries == t.entries
     assert back.value(TestKind(TestTag.MELLIN_G, 2.5), MLE, 20, 0.10) == 1.25
+
+
+def test_saved_exp_entries_are_their_edf_twins_values(tmp_path):
+    # on the pivotal rows each Exp kind reads its EDF twin's column, so the
+    # tabulated values are equal, and a v1 file holding all eleven kinds
+    # saves and loads them as they are
+    n, alphas = 20, [0.01, 0.05, 0.10]
+    t = null_critical_values(ALL_KINDS, n, alphas, 2000, RandomStream(612, 0))
+    for e, k in zip(EXP_KINDS, (KS, CV, AD, ZA)):
+        for a in alphas:
+            assert t.value(e, MLE, n, a) == t.value(k, MLE, n, a), (e, a)
+    path = tmp_path / "cv.csv"
+    t.save(path)
+    assert path.read_text().startswith("paretogof-critical-values v1\n")
+    back = CriticalValueTable.load(path)
+    assert (back.reps, back.seed) == (t.reps, t.seed)
+    assert back.entries == t.entries and len(back) == len(ALL_KINDS) * len(alphas)
 
 
 def test_table_load_rejects_foreign_and_mixed_files(tmp_path):
@@ -537,10 +554,15 @@ def _sizes(rows, reps):
     return [rows] * (reps // rows) + [reps % rows] * (reps % rows > 0)
 
 
+_TWIN = dict(zip(EXP_KINDS, (KS, CV, AD, ZA)))
+
+
 def _decision_oracle(kinds, x, b, estimator):
-    # whole-block evaluation: the pivotal transform at shape one for MLE
+    # whole-block evaluation: the pivotal transform at shape one for MLE, where
+    # shape one is the transformed rows' MLE, so each Exp kind is its EDF twin
     if estimator is MLE:
-        return statistic_rows(kinds, x ** b[:, None], 1.0)
+        stats = statistic_rows([_TWIN.get(k, k) for k in kinds], x ** b[:, None], 1.0)
+        return {k: stats[_TWIN.get(k, k)] for k in kinds}
     return statistic_rows(kinds, x, b)
 
 
@@ -566,6 +588,24 @@ def test_row_blocks_cover_every_row_once_and_never_one_alone(reps, monkeypatch):
     assert [lo for lo, _ in seen] == [0] + [hi for _, hi in seen[:-1]]
     assert seen[-1][1] == reps
     assert [hi - lo for lo, hi in seen] == _sizes(3, reps)
+
+
+def test_the_pivotal_route_builds_one_cdf_table_per_chunk(monkeypatch):
+    # the Exp kinds read their EDF twins' columns, so a chunk of all eleven
+    # kinds builds the model CDF table and no fitted log-scale one
+    n, reps = 20, 1000
+    seen = _chunks_of(monkeypatch, 300, n)
+    tables = []
+    edf_sorted = statistics._edf_sorted
+
+    def spy(pw):
+        tables.append(pw.shape)
+        return edf_sorted(pw)
+
+    monkeypatch.setattr(statistics, "_edf_sorted", spy)
+    null_critical_values(ALL_KINDS, n, [0.05], reps, RandomStream(611, 3))
+    assert seen["sizes"] == _sizes(300, reps)
+    assert tables == [(rows, n) for rows in seen["sizes"]]
 
 
 @pytest.mark.parametrize("rows, reps", [(1, 1000), (2, 1001), (3, 1000)])

@@ -609,6 +609,29 @@ def test_statistic_rows_collapses_duplicates_and_coerces_tags():
     assert list(got) == [KS]
 
 
+@pytest.mark.parametrize("n", [1, 2, 20, 30, 41])
+def test_each_kind_has_the_bits_it_has_alone(n):
+    # the tables a block shares between kinds (the sorted rows, the CDF power,
+    # each CDF table's logs, log x) give every kind the values and clamp flags
+    # it gets evaluated alone; row 0 holds a value whose CDF rounds below the
+    # clamp and row 1 one whose CDF rounds to 1
+    rows = 12
+    x = pareto_rows(2.0, n, rows, RandomStream(511, n))
+    x[0, 0] = np.nextafter(1.0, 2.0)
+    x[1, -1] = 1e300
+    b = np.linspace(0.5, 4.0, rows)
+    kinds = ALL_KINDS + (TestKind(TestTag.MELLIN_G, 0.5),)
+    values, clamped = statistics_module._evaluate(kinds, x, b)
+    assert clamped[AD][:2].all() and clamped[ZA][:2].all()
+    assert sorted(k.label for k in clamped) == ["AD", "ExpAD", "ExpZA", "ZA"]
+    for k in kinds:
+        alone, alone_clamped = statistics_module._evaluate([k], x, b)
+        assert np.array_equal(values[k], alone[k], equal_nan=True), k
+        assert list(alone_clamped) == ([k] if k in clamped else [])
+        if k in clamped:
+            assert np.array_equal(clamped[k], alone_clamped[k]), k
+
+
 # ---------------------------------------------------------------------------
 # clamp reporting
 
