@@ -77,7 +77,7 @@ from .distributions import (
     pareto_rows,
 )
 from .estimation import EstimatorMethod, estimate_shape, mle_rows, mme_rows
-from .statistics import _EDF_TWIN, TestKind, _unique_kinds, statistic_rows
+from .statistics import TestKind, _unique_kinds, statistic_rows
 
 __all__ = [
     "UnsupportedPathError",
@@ -199,16 +199,14 @@ def pivotal_statistic_rows(kinds, x: np.ndarray):
     ``stats`` maps each kind to a per-row array and ``betas`` holds the raw
     estimates used in the transform.
 
-    Shape one is the MLE of a transformed row by construction, so each
-    exponentiality kind is its EDF twin at shape one (ExpKS is KS, and so
-    on): it gets the twin's column, and each twin is evaluated once.
+    Shape one is the MLE of a transformed row by construction, so the
+    exponentiality kinds, which :func:`~paretogof.statistics.statistic_rows`
+    reads as their EDF twins at the shape passed, are their exponential fits
+    to the transformed rows' logs.
     """
     x = np.asarray(x, dtype=np.float64)
     b = mle_rows(x)
-    kinds = _unique_kinds(kinds)
-    twins = [_EDF_TWIN.get(k, k) for k in kinds]
-    stats = statistic_rows(twins, _row_power(x, b[:, None]), 1.0)
-    return {k: stats[t] for k, t in zip(kinds, twins)}, b
+    return statistic_rows(kinds, _row_power(x, b[:, None]), 1.0), b
 
 
 # Estimates are used as computed: on rows on the support (finite, > 1) the
@@ -265,7 +263,14 @@ class CriticalValueTable:
 
     def put(self, kind: TestKind, estimator: EstimatorMethod, n: int,
             alpha: float, value: float) -> None:
-        self.entries[(kind, EstimatorMethod(estimator), int(n), float(alpha))] = float(value)
+        """Store one entry; only the MLE route has tabulated critical values,
+        so any other estimator raises :class:`UnsupportedPathError`."""
+        estimator = EstimatorMethod(estimator)
+        if estimator is not EstimatorMethod.MLE:
+            raise UnsupportedPathError(
+                f"only MLE-route entries are tabulated, not {estimator.value}"
+            )
+        self.entries[(kind, estimator, int(n), float(alpha))] = float(value)
 
     def value(self, kind: TestKind, estimator: EstimatorMethod, n: int,
               alpha: float) -> float:
@@ -321,21 +326,18 @@ class CriticalValueTable:
                     tag, est, n, alpha, reps, seed, value = row
                     tag, tuned, a_txt = tag.partition(":a=")
                     kind = TestKind(tag, float(a_txt)) if tuned else TestKind(tag)
-                    key = (kind, EstimatorMethod(est), int(n), float(alpha))
-                    reps, seed, value = int(reps), int(seed), float(value)
-                    if key[1] is not EstimatorMethod.MLE:
-                        raise ValueError("only MLE-route entries are tabulated")
-                except ValueError as exc:
+                    reps, seed = int(reps), int(seed)
+                    if table is None:
+                        table = cls(reps=reps, seed=seed)
+                    elif (reps, seed) != (table.reps, table.seed):
+                        raise ConfigurationError(
+                            "critical-value file mixes entries from different runs"
+                        )
+                    table.put(kind, est, n, alpha, value)
+                except ValueError as exc:  # UnsupportedPathError among them
                     raise ConfigurationError(
                         f"{path}, line {reader.line_num + 1}: malformed entry {row!r} ({exc})"
                     ) from None
-                if table is None:
-                    table = cls(reps=reps, seed=seed)
-                elif (reps, seed) != (table.reps, table.seed):
-                    raise ConfigurationError(
-                        "critical-value file mixes entries from different runs"
-                    )
-                table.put(*key, value)
             if table is None:
                 raise ConfigurationError(f"critical-value file {path!r} holds no entries")
             return table
@@ -404,7 +406,6 @@ class TestResult:
     estimator: EstimatorMethod
     statistic: float
     n: int
-    critical_value: float | None = None
     p_value: float | None = None
     reject_at: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
     decision_statistic: float | None = None

@@ -9,12 +9,15 @@ discrepancies, ZA is a likelihood-ratio variant, and G is a Mellin-transform
 statistic with an exponential weight controlled by a tuning constant ``a``.
 
 Four more statistics test exponentiality of the log-transformed data, since
-log X is exponential exactly when X is Pareto. They fit the exponential rate
-by maximum likelihood internally, so they take no shape argument.
+log X is exponential exactly when X is Pareto. An exponential fitted to log x
+by maximum likelihood has the CDF 1 - x^(-beta_MLE), so ExpKS, ExpCV, ExpAD
+and ExpZA are KS, CV, AD and ZA at the MLE: each is evaluated as its EDF twin
+at the shape its caller passes, which is the MLE on every route that asks
+for them.
 
-Everything here is a pure function of the sample (plus a shape value for the
-Pareto-model statistics). Which shape to plug in, and how critical values or
-p-values are produced, is the business of :mod:`paretogof.inference`.
+Everything here is a pure function of the sample and a shape value. Which
+shape to plug in, and how critical values or p-values are produced, is the
+business of :mod:`paretogof.inference`.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .distributions import DomainError, _as_sample, _check_beta, _row_power
-from .estimation import estimate_mle, mle_rows
+from .estimation import estimate_mle
 
 __all__ = [
     "TestTag",
@@ -76,12 +79,7 @@ class TestTag(str, Enum):
     EXP_ZA = "ExpZA"
 
 
-_EXP_TAGS = frozenset(
-    {TestTag.EXP_KS, TestTag.EXP_CV, TestTag.EXP_AD, TestTag.EXP_ZA}
-)
-_LOG_TAGS = frozenset(
-    {TestTag.AD, TestTag.ZA, TestTag.EXP_AD, TestTag.EXP_ZA}
-)
+_LOG_TAGS = frozenset({TestTag.AD, TestTag.ZA})
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ class TestKind:
     @property
     def is_exponentiality(self) -> bool:
         """True for the statistics applied to log-transformed data."""
-        return self.tag in _EXP_TAGS
+        return self in _EDF_TWIN
 
     @property
     def label(self) -> str:
@@ -140,7 +138,8 @@ PARETO_KINDS = (KS, CV, AD, ZA, MELLIN_G, MP1, MP2)
 EXP_KINDS = (EXP_KS, EXP_CV, EXP_AD, EXP_ZA)
 ALL_KINDS = PARETO_KINDS + EXP_KINDS
 
-# each exponentiality kind is its EDF twin at the MLE, the rate it fits
+# each exponentiality kind is its EDF twin: the exponential fitted to log x
+# has the model CDF at the MLE
 _EDF_TWIN = dict(zip(EXP_KINDS, (KS, CV, AD, ZA)))
 
 
@@ -227,11 +226,9 @@ def _za_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
 
 
 # EDF kernels on the clamped CDF f and, for AD and ZA, its logs (log f,
-# log(1 - f)); the Exp* tags reuse them on the fitted log scale
+# log(1 - f))
 _EDF_KERNELS = {
     TestTag.KS: _ks_rows, TestTag.CV: _cv_rows, TestTag.AD: _ad_rows, TestTag.ZA: _za_rows,
-    TestTag.EXP_KS: _ks_rows, TestTag.EXP_CV: _cv_rows,
-    TestTag.EXP_AD: _ad_rows, TestTag.EXP_ZA: _za_rows,
 }
 
 
@@ -362,70 +359,64 @@ def _unique_kinds(kinds) -> list:
 
 def _evaluate(kinds, x: np.ndarray, beta):
     """:func:`statistic_rows` plus, for each log-taking EDF kind (AD, ZA and
-    their exponentiality versions), the per-row flag of a clamped CDF value."""
+    their exponentiality twins), the per-row flag of a clamped CDF value."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be a (reps, n) matrix")
     m, n = x.shape
-    wanted = _unique_kinds(kinds)
-    pareto_kinds = [k for k in wanted if not k.is_exponentiality]
+    # each Exp kind is its EDF twin at beta, and each distinct kind runs once
+    twin = {k: _EDF_TWIN.get(k, k) for k in _unique_kinds(kinds)}
+    kinds = list(dict.fromkeys(twin.values()))
 
-    b = None
-    if pareto_kinds:
-        if beta is None:
-            raise ValueError("beta is required for the Pareto-model statistics")
-        b = np.asarray(beta, dtype=np.float64)
-        if b.ndim == 0:
-            b = np.full(m, float(b))
-        elif b.shape != (m,):
-            raise ValueError(f"beta must be scalar or shape ({m},), got {b.shape}")
-        _check_beta(b)
+    if beta is None:
+        raise ValueError("beta is required for every statistic")
+    b = np.asarray(beta, dtype=np.float64)
+    if b.ndim == 0:
+        b = np.full(m, float(b))
+    elif b.shape != (m,):
+        raise ValueError(f"beta must be scalar or shape ({m},), got {b.shape}")
+    _check_beta(b)
 
     xs = None
-    if any(k.tag is not TestTag.MELLIN_G for k in wanted):
+    if any(k.tag is not TestTag.MELLIN_G for k in kinds):
         xs = np.sort(x, axis=1)
     # the model CDF and MP2 raise the sorted rows to the same column, once
     pw = None
-    if any(k.tag is TestTag.MP2 or (k.tag in _EDF_KERNELS and not k.is_exponentiality)
-           for k in wanted):
+    if any(k.tag is TestTag.MP2 or k.tag in _EDF_KERNELS for k in kinds):
         pw = _row_power(xs, -b[:, None])
 
     out = {}
     clamped = {}
     # MP2 and G take the same log x
     lx = None
-    if any(k.tag in (TestTag.MP2, TestTag.MELLIN_G) for k in wanted):
+    if any(k.tag in (TestTag.MP2, TestTag.MELLIN_G) for k in kinds):
         lx = np.log(x)
     w = _order_weights(n)
-    for k in wanted:
+    for k in kinds:
         if k.tag is TestTag.MP1:
             out[k] = _mp1_rows(x, xs, b[:, None], w, n)
         elif k.tag is TestTag.MP2:
             out[k] = _mp2_rows(x, xs, b[:, None], w, n, pw, lx)
-    # one CDF table for the model at beta and one for the exponential fitted
-    # to log x; MP1 and MP2 run first, so the sorted rows and their power are
-    # freed once the tables are built, before any table's logs are taken
-    groups = {exp: [k for k in wanted if k.tag in _EDF_KERNELS and k.is_exponentiality == exp]
-              for exp in (False, True)}
-    tables = {exp: _edf_sorted(_row_power(xs, -mle_rows(x)[:, None]) if exp else pw)
-              for exp, group in groups.items() if group}
+    # one CDF table, read by every EDF kind; MP1 and MP2 run first, so the
+    # sorted rows and their power are freed once it is built, before its
+    # logs are taken
+    edf = [k for k in kinds if k.tag in _EDF_KERNELS]
+    f, hit = _edf_sorted(pw) if edf else (None, None)
     del xs, pw
+    logs = (np.log(f), np.log1p(-f)) if any(k.tag in _LOG_TAGS for k in edf) else None
     j = np.arange(1, n + 1, dtype=np.float64)
-    for exp in list(tables):
-        f, hit = tables.pop(exp)
-        group = groups[exp]
-        logs = (np.log(f), np.log1p(-f)) if any(k.tag in _LOG_TAGS for k in group) else None
-        for k in group:
-            out[k] = _EDF_KERNELS[k.tag](f, logs, j, n)
-            if k.tag in _LOG_TAGS:
-                clamped[k] = hit
-        del f, logs
+    for k in edf:
+        out[k] = _EDF_KERNELS[k.tag](f, logs, j, n)
+        if k.tag in _LOG_TAGS:
+            clamped[k] = hit
+    del f, logs
     # G's pair sums hold several (m, n) arrays and set a block's peak memory,
-    # so G runs last, once the sorted rows and the CDF tables are freed
-    for k in wanted:
+    # so G runs last, once the sorted rows and the CDF table are freed
+    for k in kinds:
         if k.tag is TestTag.MELLIN_G:
             out[k] = _mellin_rows(lx, b, k.tuning_a)
-    return {k: out[k] for k in wanted}, clamped
+    return ({k: out[t] for k, t in twin.items()},
+            {k: clamped[t] for k, t in twin.items() if t in clamped})
 
 
 def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
@@ -439,9 +430,10 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
     x:
         Matrix of samples, one replication per row, all values above 1.
     beta:
-        Shape to plug into the Pareto-model statistics, scalar or one value
-        per row. The exponentiality statistics ignore it and fit their own
-        rate from the log data.
+        Shape to plug into every statistic, scalar or one value per row.
+        Each exponentiality kind is its EDF twin at this shape (ExpKS is KS,
+        and so on), which is the exponential fit to log x when ``beta`` is
+        the row's MLE.
 
     Returns
     -------
@@ -451,12 +443,9 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
     -----
     Each table is built once and read by every kind that needs it: the
     sorted rows; their power x_(j)^(-beta), for the model CDF and MP2; one
-    clamped CDF table for KS, CV, AD and ZA, another at the rate fitted to
-    log x for the Exp kinds, and each table's log F and log(1 - F) for its
-    AD and ZA; and log x, for MP2 and every G. The fitted table is built
-    even though it is the model table at the MLE, since ``beta`` need not
-    be the MLE; :func:`~paretogof.inference.pivotal_statistic_rows`, whose
-    shape one is the MLE, asks for the EDF twins alone.
+    clamped CDF table for KS, CV, AD and ZA, and its log F and log(1 - F)
+    for AD and ZA; and log x, for MP2 and every G. An exponentiality kind
+    and its EDF twin are evaluated once and share the twin's column.
 
     Degenerate CDF values are clamped to [1e-15, 1 - 1e-15] silently here;
     the single-sample wrappers report a flag instead.
@@ -468,10 +457,10 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
 # single-sample interface
 
 
-def _single(kinds, sample, beta, beta_used) -> list:
-    """Evaluate ``kinds`` on one sample as a one-row batch."""
+def _single(kinds, sample, beta: float) -> list:
+    """Evaluate ``kinds`` on one sample as a one-row batch at shape ``beta``."""
     values, clamped = _evaluate(kinds, sample.values[None, :], beta)
-    return [StatisticValue(k, float(v[0]), sample.n, beta_used,
+    return [StatisticValue(k, float(v[0]), sample.n, beta,
                            bool(clamped[k][0]) if k in clamped else False)
             for k, v in values.items()]
 
@@ -479,7 +468,7 @@ def _single(kinds, sample, beta, beta_used) -> list:
 def _single_pareto(kind: TestKind, sample, beta: float) -> StatisticValue:
     sample = _as_sample(sample)
     beta = _check_beta(float(beta))
-    return _single([kind], sample, beta, beta)[0]
+    return _single([kind], sample, beta)[0]
 
 
 def ks(sample, beta: float) -> StatisticValue:
@@ -593,4 +582,4 @@ def exp_edf_suite(sample) -> list:
     The fitted rate appears as ``beta_used`` on each result.
     """
     sample = _as_sample(sample)
-    return _single(EXP_KINDS, sample, None, estimate_mle(sample).value)
+    return _single(EXP_KINDS, sample, estimate_mle(sample).value)

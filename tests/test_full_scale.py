@@ -35,8 +35,9 @@ from paretogof import (
     upper_quantile,
 )
 from paretogof.distributions import alternative_rows, bootstrap_rows
+from paretogof.estimation import mle_rows
 from paretogof.inference import power_fixed_critical_many, warp_speed_power_many
-from paretogof.statistics import mle_rows, statistic_rows
+from paretogof.statistics import statistic_rows
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("PARETOGOF_FULL_SCALE") != "1",

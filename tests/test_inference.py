@@ -122,7 +122,7 @@ def test_the_exponentiality_suite_is_the_edf_suite_at_the_mle(law):
     # pivotal rows, whose MLE is one, the Exp kinds are their twins' columns
     x = alternative_rows(law, 20, 1000, RandomStream(600, 2))
     edf = [KS, CV, AD, ZA]
-    exp = statistic_rows(EXP_KINDS, x)
+    exp = statistic_rows(EXP_KINDS, x, mle_rows(x))
     at_mle = statistic_rows(edf, x, mle_rows(x))
     piv_exp, _ = pivotal_statistic_rows(EXP_KINDS, x)
     piv_edf, _ = pivotal_statistic_rows(edf, x)
@@ -182,6 +182,24 @@ def test_table_put_value_contains_len():
     assert len(t) == 1
     with pytest.raises(ConfigurationError, match="MP2"):
         t.value(MP2, MLE, 20, 0.05)
+
+
+def test_table_put_refuses_what_load_refuses(tmp_path):
+    # the MLE-only rule is put's: an MME entry is never stored, so no table
+    # can save a file that load then refuses, and load names the line
+    t = CriticalValueTable(reps=1000, seed=1)
+    t.put(KS, MLE, 20, 0.05, 0.3)
+    with pytest.raises(UnsupportedPathError, match="only MLE-route entries"):
+        t.put(KS, MME, 20, 0.05, 0.4)
+    with pytest.raises(UnsupportedPathError, match="only MLE-route entries"):
+        t.put(CV, "mme", 20, 0.05, 0.4)
+    assert list(t.entries) == [(KS, MLE, 20, 0.05)]
+    path = tmp_path / "cv.csv"
+    t.save(path)
+    path.write_text(path.read_text() + "KS,mme,20,0.05,1000,1,0.4\n")
+    with pytest.raises(ConfigurationError,
+                       match="line 4: .*only MLE-route entries are tabulated"):
+        CriticalValueTable.load(path)
 
 
 def test_table_save_load_round_trip(tmp_path):
@@ -592,7 +610,8 @@ def test_row_blocks_cover_every_row_once_and_never_one_alone(reps, monkeypatch):
 
 def test_the_pivotal_route_builds_one_cdf_table_per_chunk(monkeypatch):
     # the Exp kinds read their EDF twins' columns, so a chunk of all eleven
-    # kinds builds the model CDF table and no fitted log-scale one
+    # kinds builds the model CDF table and no fitted log-scale one; so does a
+    # raw-row evaluation of all eleven at the MLE
     n, reps = 20, 1000
     seen = _chunks_of(monkeypatch, 300, n)
     tables = []
@@ -606,6 +625,10 @@ def test_the_pivotal_route_builds_one_cdf_table_per_chunk(monkeypatch):
     null_critical_values(ALL_KINDS, n, [0.05], reps, RandomStream(611, 3))
     assert seen["sizes"] == _sizes(300, reps)
     assert tables == [(rows, n) for rows in seen["sizes"]]
+    tables.clear()
+    x = alternative_rows(GAMMA12, n, 7, RandomStream(611, 4))
+    statistic_rows(ALL_KINDS, x, mle_rows(x))
+    assert tables == [(7, n)]
 
 
 @pytest.mark.parametrize("rows, reps", [(1, 1000), (2, 1001), (3, 1000)])

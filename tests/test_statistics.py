@@ -1,5 +1,6 @@
 """Statistic kernels: closed-form limits, independent oracles, and invariances."""
 
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +17,10 @@ from paretogof import (
     AD,
     ALL_KINDS,
     CV,
+    AlternativeSpec,
     DomainError,
     EXP_KINDS,
+    Family,
     KS,
     MELLIN_G,
     MP1 as MP1_KIND,
@@ -44,7 +47,7 @@ from paretogof import (
     za,
 )
 from paretogof import statistics as statistics_module
-from paretogof.distributions import pareto_rows
+from paretogof.distributions import alternative_rows, pareto_rows
 from paretogof.estimation import mle_rows, mme_rows
 from paretogof.statistics import (
     _CLOSED_MAX_N,
@@ -502,21 +505,33 @@ def test_statistics_are_permutation_invariant():
 
 
 def test_exp_suite_equals_log_domain_construction():
-    # fitting an exponential rate to log X and running the EDF statistics on
-    # that scale is the definition; the implementation shortcuts through the
-    # model CDF, so check the two constructions coincide
-    s = pareto_sample(2.0, 24, RandomStream(507, 0))
-    logs = np.sort(np.log(s.values))
-    lam = 1.0 / logs.mean()
-    f = -np.expm1(-lam * logs)
-    n = s.n
-    j = np.arange(1, n + 1)
-    ks_ref = max((j / n - f).max(), (f - (j - 1) / n).max())
-    cv_ref = 1.0 / (12 * n) + np.sum((f - (2 * j - 1) / (2.0 * n)) ** 2)
-    suite = {v.kind.tag.value: v for v in exp_edf_suite(s)}
-    assert suite["ExpKS"].value == pytest.approx(ks_ref, abs=1e-12)
-    assert suite["ExpCV"].value == pytest.approx(cv_ref, abs=1e-12)
-    assert suite["ExpKS"].beta_used == pytest.approx(lam, rel=1e-12)
+    # the definition, one term at a time: an exponential of rate 1/mean(y)
+    # fitted to the sorted y = log x, with F = 1 - exp(-lam y) and
+    # log(1 - F) = -lam y taken exactly rather than from F, where the
+    # implementation reads every statistic off the model CDF at the MLE
+    samples = [pareto_sample(2.0, 24, RandomStream(507, 0)).values] + [
+        alternative_rows(law, n, 1, RandomStream(507, 4 + n))[0]
+        for law in (AlternativeSpec(Family.PARETO, 0.3), AlternativeSpec(Family.GAMMA, 1.2),
+                    AlternativeSpec(Family.LOG_NORMAL, 2.5))
+        for n in (2, 20, 200)
+    ]
+    for x in samples:
+        n = x.size
+        y = sorted(math.log(v) for v in x)
+        lam = n / math.fsum(y)
+        f = [-math.expm1(-lam * v) for v in y]
+        log_f = [math.log(v) for v in f]
+        log_s = [-lam * v for v in y]
+        js = range(1, n + 1)
+        ks_ref = max(max(j / n - f[j - 1], f[j - 1] - (j - 1) / n) for j in js)
+        cv_ref = 1.0 / (12 * n) + math.fsum((f[j - 1] - (2 * j - 1) / (2 * n)) ** 2 for j in js)
+        ad_ref = -n - math.fsum((2 * j - 1) * (log_f[j - 1] + log_s[n - j]) for j in js) / n
+        za_ref = -math.fsum(log_f[j - 1] / (n - j + 0.5) + log_s[j - 1] / (j - 0.5) for j in js)
+        suite = {v.kind: v for v in exp_edf_suite(Sample(x))}
+        assert not any(v.clamped for v in suite.values()), n
+        for kind, ref in zip(EXP_KINDS, (ks_ref, cv_ref, ad_ref, za_ref)):
+            assert suite[kind].value == pytest.approx(ref, abs=1e-12), (n, kind)
+            assert suite[kind].beta_used == pytest.approx(lam, rel=1e-12), (n, kind)
 
 
 def test_exp_suite_equals_pareto_edf_at_the_mle():
@@ -536,12 +551,22 @@ def test_exp_suite_is_power_invariant():
         assert a.value == pytest.approx(b_.value, rel=1e-11)
 
 
-def test_exp_kinds_ignore_supplied_beta():
-    x = pareto_sample(2.0, 15, RandomStream(507, 3)).values[None, :]
-    lo = statistic_rows(EXP_KINDS, x, 0.5)
-    hi = statistic_rows(EXP_KINDS, x, 9.0)
-    for k in EXP_KINDS:
-        np.testing.assert_array_equal(lo[k], hi[k])
+def test_exp_kinds_are_their_edf_twins_at_the_supplied_beta():
+    # each Exp kind reads its EDF twin at the shape passed, bit for bit and
+    # with the same clamp flags, and needs a shape like every other kind
+    x = pareto_rows(2.0, 15, 6, RandomStream(507, 3))
+    x[0, 0] = 1.0  # the CDF is 0 there and clamps
+    twins = dict(zip(EXP_KINDS, (KS, CV, AD, ZA)))
+    for beta in (0.5, 9.0, np.linspace(0.5, 9.0, len(x))):
+        exp, exp_hit = statistics_module._evaluate(EXP_KINDS, x, beta)
+        edf, edf_hit = statistics_module._evaluate(list(twins.values()), x, beta)
+        assert {twins[e] for e in exp_hit} == set(edf_hit) == {AD, ZA}
+        for e, k in twins.items():
+            assert np.array_equal(exp[e], edf[k]), (e, beta)
+        for e, hit in exp_hit.items():
+            assert hit[0] and np.array_equal(hit, edf_hit[twins[e]]), (e, beta)
+    with pytest.raises(ValueError, match="beta is required"):
+        statistic_rows(EXP_KINDS, x)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +592,11 @@ def test_batch_rows_match_single_sample_calls():
         fn = singles[k.tag.value]
         for r in range(len(rows)):
             assert got[k][r] == fn(Sample(rows[r]), beta[r]).value, (k, r)
+    at_mle = statistic_rows(ALL_KINDS, rows, mle_rows(rows))
     for r in range(len(rows)):
         suite = {v.kind: v.value for v in exp_edf_suite(Sample(rows[r]))}
         for k in EXP_KINDS:
-            assert got[k][r] == suite[k], (k, r)
+            assert at_mle[k][r] == suite[k], (k, r)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30, 1000])
