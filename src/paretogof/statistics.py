@@ -198,11 +198,14 @@ def _edf_sorted(pw: np.ndarray):
 # A threaded chunk's (m, n) arrays fall just below numpy's 256 KiB threshold
 # for reusing an expression's temporaries, so the kernels update their
 # temporaries in place, in the operations and order of the plain expressions
-# (the same bits), and no kernel adds to the peak that G sets.
+# (the same bits).
 
 
 def _ks_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
-    return np.maximum((j / n - f).max(axis=1), (f - (j - 1.0) / n).max(axis=1))
+    # max is exact, so one row reduction of the larger gap has the bits of two
+    d = j / n - f
+    np.maximum(d, f - (j - 1.0) / n, out=d)
+    return d.max(axis=1)
 
 
 def _cv_rows(f: np.ndarray, logs, j: np.ndarray, n: int) -> np.ndarray:
@@ -306,18 +309,24 @@ def _mellin_trapezoid(lx: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
 def _mellin_closed(lx: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
     """G by the closed form of :func:`mellin_g`, given log x and c = 1 + a.
 
-    The pair sum runs over j < k one column j at a time. Column j's
-    (rows, n - 1 - j) slab is a contiguous view into one of two scratch
-    buffers allocated once, and h is evaluated into it with ``out=``, in the
-    same operations and order as ``u * (b² + u * (2b + 2u))`` with u = 1/s, so
-    every value is bit-identical to evaluating it into fresh temporaries.
-    A chunk's fresh slabs, up to about 0.5 MB, would be mapped, zero-filled
-    page by page and unmapped again on every column.
+    The pairs are taken rows-last, on the (n, rows) transpose L of log x,
+    which is a free view when log x is column-major. For each offset
+    d = 0…n - 1 the slab of pairs (j, j + d), j < n - d, is the contiguous
+    row range (c + L[:n-d]) + L[d:], so every operation runs over whole
+    (n - d, rows) blocks. h is evaluated into two scratch buffers allocated
+    once, in the operations and order of ``u * (b² + u * (2b + 2u))`` with
+    u = 1/s, and added elementwise into one (n, rows) accumulator, whose
+    entry (j, i) holds row i's terms of the pairs (j, k > j) and half its
+    term of the pair (j, j): each off-diagonal pair counts twice, and the
+    halving and the final doubling are exact. The accumulator's entries and
+    the single terms are then summed over j in an explicit loop, so each
+    row's sums run in the same order in a block of any size, and a row has
+    the same bits in any block.
     """
     m, n = lx.shape
-    b = beta[:, None]
-    b2 = b * b
-    two_b = 2.0 * b
+    L = np.ascontiguousarray(lx.T)
+    b2 = beta * beta
+    two_b = 2.0 * beta
 
     def h_into(u, t):
         """h(s) into t for s held in u; u is left holding 1/s."""
@@ -328,19 +337,25 @@ def _mellin_closed(lx: np.ndarray, beta: np.ndarray, c: float) -> np.ndarray:
         np.add(b2, t, out=t)
         return np.multiply(u, t, out=t)
 
-    r = c + lx
-    s = r + lx
-    paired = h_into(s, np.empty_like(s)).sum(axis=1)
-    single = 2.0 * beta * (b / r + 1.0 / (r * r)).sum(axis=1)
-    del r, s  # freed before the scratch buffers, so the peak does not grow
-    buf_u = np.empty(m * (n - 1))
-    buf_h = np.empty(m * (n - 1))
-    for j in range(n - 1):
-        k = n - 1 - j
-        u = buf_u[:m * k].reshape(m, k)
-        np.add((c + lx[:, j])[:, None], lx[:, j + 1:], out=u)
-        paired += 2.0 * h_into(u, buf_h[:m * k].reshape(m, k)).sum(axis=1)
-    return paired / n - single + n * beta * beta / c
+    buf_u = np.empty(n * m)
+    buf_h = np.empty((n - 1) * m)
+    acc = np.empty((n, m))
+    for d in range(n):
+        u = buf_u[:(n - d) * m].reshape(n - d, m)
+        np.add(c, L[:n - d], out=u)
+        u += L[d:]
+        if d:
+            acc[:n - d] += h_into(u, buf_h[:(n - d) * m].reshape(n - d, m))
+        else:
+            h_into(u, acc)
+            acc *= 0.5
+    paired = np.zeros(m)
+    single = np.zeros(m)
+    for j in range(n):
+        paired += acc[j]
+        r = c + L[j]
+        single += beta / r + 1.0 / (r * r)
+    return 2.0 * paired / n - 2.0 * beta * single + n * beta * beta / c
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +402,11 @@ def _evaluate(kinds, x: np.ndarray, beta):
 
     out = {}
     clamped = {}
-    # MP2 and G take the same log x
+    # MP2 and G take the same log x; up to n = 40 it is written rows-last,
+    # an (n, m) array, whose transpose G's closed form reads without a copy
     lx = None
     if any(k.tag in (TestTag.MP2, TestTag.MELLIN_G) for k in kinds):
-        lx = np.log(x)
+        lx = np.log(x.T, order="C").T if n <= _CLOSED_MAX_N else np.log(x)
     w = _order_weights(n)
     for k in kinds:
         if k.tag is TestTag.MP1:
@@ -403,15 +419,19 @@ def _evaluate(kinds, x: np.ndarray, beta):
     edf = [k for k in kinds if k.tag in _EDF_KERNELS]
     f, hit = _edf_sorted(pw) if edf else (None, None)
     del xs, pw
-    logs = (np.log(f), np.log1p(-f)) if any(k.tag in _LOG_TAGS for k in edf) else None
     j = np.arange(1, n + 1, dtype=np.float64)
-    for k in edf:
-        out[k] = _EDF_KERNELS[k.tag](f, logs, j, n)
+    # KS and CV run before the logs are taken, so that KS's two temporaries
+    # do not stack on them
+    logs = None
+    for k in sorted(edf, key=lambda k: k.tag in _LOG_TAGS):
         if k.tag in _LOG_TAGS:
+            if logs is None:
+                logs = (np.log(f), np.log1p(-f))
             clamped[k] = hit
+        out[k] = _EDF_KERNELS[k.tag](f, logs, j, n)
     del f, logs
-    # G's pair sums hold several (m, n) arrays and set a block's peak memory,
-    # so G runs last, once the sorted rows and the CDF table are freed
+    # G's pair sums hold three (m, n) buffers, so G runs last, once the
+    # sorted rows and the CDF table are freed
     for k in kinds:
         if k.tag is TestTag.MELLIN_G:
             out[k] = _mellin_rows(lx, b, k.tuning_a)
@@ -531,14 +551,18 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
 
     The pair sum is symmetric, so it is evaluated over j <= k only, the
     off-diagonal pairs counted twice: about n²/2 terms, O(n²) per sample.
-    The pairs are taken one column at a time, and every column's terms are
-    written into the same two scratch buffers. The closed form runs at
-    n <= 40, on chunks of 2**16 words whose first column slabs hold about
-    0.5 MB, and fresh temporaries that large would be mapped and unmapped by
-    the allocator on every column: on 2 vCPUs, best of 15, one such chunk
-    took about 10 ms with the buffers at n = 20, 30 and 40, against 19, 14
-    and 21 ms with fresh temporaries, and about 220 minor page faults
-    against 2 600–5 700. The values are bit-identical.
+    The pairs are taken by offset d = k - j, for every sample of a chunk at
+    once: with log x held rows-last, the pairs at one offset form one
+    contiguous slab, so each array operation covers n - d terms of every
+    sample rather than one sample's n - 1 - j. Every slab is written into
+    the same two scratch buffers, since fresh temporaries that large would
+    be mapped and unmapped by the allocator on every offset, and each
+    sample's terms are summed in one fixed order, so a sample has the same
+    bits in a chunk of any size. On 2 vCPUs, best of 60, one closed-form
+    evaluation of a threaded chunk of 2**15 words took about 1.7, 2.1 and
+    2.8 ms at n = 20, 30 and 40, against 3.3, 3.6 and 4.6 ms with the pairs
+    taken one column j at a time, one sample's n - 1 - j terms per
+    operation.
 
     Above n = 40 the defining integral is taken by the trapezoid rule in
     v = log t, which converges exponentially for integrands of this kind
@@ -565,9 +589,9 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
 
     The method is chosen by n alone: the closed form up to n = 40 and the
     rule above it, whatever the sample. At the chunk sizes of a Monte Carlo
-    run on 2 vCPUs, the closed form took 0.4–0.6 of the rule's time at
-    n = 30 to 41, 0.6–0.9 at 50 to 80, 1.4–1.5 at 100 and 9–15 times it at
-    1000. Between n = 41 and about 90 the rule is
+    run on 2 vCPUs, the closed form took 0.2–0.3 of the rule's time at
+    n = 30 to 41, 0.4–0.6 at 50 to 60, 0.8 at 80, 0.9–1.0 at 100, 1.5 at
+    150 and 9–13 times it at 1000. Between n = 41 and about 100 the rule is
     kept for its accuracy, not its speed.
     """
     kind = MELLIN_G if a == 1.0 else TestKind(TestTag.MELLIN_G, a)

@@ -260,8 +260,9 @@ def test_mellin_g_rejects_rows_whose_pair_constant_is_not_positive():
 
 @pytest.mark.parametrize("shape", [(200, 200), (1, 1000), (5000, 20)])
 def test_mellin_g_working_memory_is_bounded_by_the_input(shape):
-    # the pair sum is taken one (rows, n - j) slab at a time, never as a
-    # (rows, n, n) table; about 6 input-sized arrays are live at the peak
+    # the pair sum is taken one (n - d, rows) slab of pairs at offset d at a
+    # time, never as a (rows, n, n) table; at most about 6 input-sized arrays
+    # are live at the peak
     x = 1.0 + np.random.default_rng(506).pareto(2.0, shape)
     tracemalloc.start()
     try:
@@ -385,6 +386,33 @@ def test_mellin_g_quadrature_rows_match_the_integral_full_battery(n):
     _check_g_rows(n, _G_ALL)
 
 
+def _check_g_closed_rows(n):
+    """Every row kind but the two near 1, at each a, against the oracle with
+    a fixed bar: at n <= 40 G is the closed form, so the bar of
+    :func:`_check_g_rows` would be vacuous. On the Pareto(50) rows the closed
+    form's cancellation sets the error, up to 10⁻² at n = 40."""
+    x, beta = _g_battery(n)
+    for a in _G_A:
+        kind = TestKind(TestTag.MELLIN_G, a)
+        got = statistic_rows([kind], x, beta)[kind]
+        for i, name in enumerate(_G_KINDS):
+            if name.startswith("near1"):
+                continue
+            ref = mellin_g_by_integral(x[i], beta[i], a)
+            assert abs(got[i] / ref - 1.0) <= 1e-10, (n, name, a)
+
+
+def test_mellin_g_closed_rows_match_the_integral():
+    _check_g_closed_rows(20)
+
+
+@pytest.mark.skipif(os.environ.get("PARETOGOF_FULL_SCALE") != "1",
+                    reason="about 8 seconds of oracle integrals; "
+                           "set PARETOGOF_FULL_SCALE=1 to run")
+def test_mellin_g_closed_rows_match_the_integral_full_battery():
+    _check_g_closed_rows(_CLOSED_MAX_N)
+
+
 @pytest.mark.parametrize("n", [_CLOSED_MAX_N + 1, 1000])
 def test_mellin_g_method_is_chosen_by_the_row_alone(n):
     # each row of the mixed block has the bits of its own 1-row evaluation
@@ -415,8 +443,8 @@ def test_mellin_g_above_the_crossover_never_takes_the_closed_form(monkeypatch):
 
 
 def test_mellin_g_at_the_crossover_and_below_is_the_closed_form():
-    # n <= _CLOSED_MAX_N keeps today's kernel bit for bit, so tabulated critical
-    # values at n = 20 and 30 do not move
+    # every row at n <= _CLOSED_MAX_N takes the closed form, bit for bit,
+    # whatever the layout of the log x it is given
     for n in (20, 30, _CLOSED_MAX_N):
         x = pareto_rows(2.0, n, 50, RandomStream(512, n))
         b = mle_rows(x)
@@ -599,12 +627,14 @@ def test_batch_rows_match_single_sample_calls():
             assert at_mle[k][r] == suite[k], (k, r)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 30, 1000])
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9, 20, 30, _CLOSED_MAX_N, 1000])
 def test_statistic_rows_are_row_independent(n):
     # each row's value depends on its own row alone, bit for bit: a 1-row
     # block, a middle block and a ragged tail give the whole matrix's values,
     # also on the pivotal rows at shape one, where the EDF kernels raise to
-    # exactly -1
+    # exactly -1. numpy sums a contiguous run of 8 or more values pairwise,
+    # but the rows of a multi-row block one after another, so a sum taken
+    # across rows could give a 1-row block other bits from n = 8 on
     rows = 13
     x = pareto_rows(2.0, n, rows, RandomStream(510, n))
     b = mle_rows(x)
