@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from random import SystemRandom
@@ -41,6 +40,7 @@ from .inference import (
     CriticalValueTable,
     UnsupportedPathError,
     _check_alpha,
+    _thread_count,
     bootstrap_pvalue_many,
     null_critical_values,
 )
@@ -58,22 +58,9 @@ from .study import (
 
 __all__ = ["main"]
 
-_JOBS_ENV = "PARETOGOF_JOBS"
 _TOUR_STRIDE = 1 << 40
 
-_TEST_TOKENS = {
-    "ks": TestTag.KS,
-    "cv": TestTag.CV,
-    "ad": TestTag.AD,
-    "za": TestTag.ZA,
-    "g": TestTag.MELLIN_G,
-    "mp1": TestTag.MP1,
-    "mp2": TestTag.MP2,
-    "exp-ks": TestTag.EXP_KS,
-    "exp-cv": TestTag.EXP_CV,
-    "exp-ad": TestTag.EXP_AD,
-    "exp-za": TestTag.EXP_ZA,
-}
+_TEST_TOKENS = {k.label.lower().replace("exp", "exp-"): k for k in ALL_KINDS}
 
 _SUITES = {"all": ALL_KINDS, "pareto": PARETO_KINDS, "exp": EXP_KINDS}
 
@@ -108,7 +95,7 @@ def _test_token(token) -> str:
 def _parse_tests(tokens, tuning_a: float):
     kinds = []
     for t in map(_test_token, tokens):
-        for kind in _SUITES[t] if t in _SUITES else [TestKind(_TEST_TOKENS[t])]:
+        for kind in _SUITES[t] if t in _SUITES else [_TEST_TOKENS[t]]:
             tuned = kind.tag is TestTag.MELLIN_G and tuning_a != 1.0
             kinds.append(TestKind(TestTag.MELLIN_G, tuning_a) if tuned else kind)
     return _unique_kinds(kinds)
@@ -309,10 +296,7 @@ def cmd_power(args) -> int:
         raise CliParseError(f"{args.config}: {unread}: no such key (see power --help)")
     config = StudyConfig(tests=tuple(tests), master_seed=args.seed,
                          **{k: v for k, v in fields.items() if v is not None})
-    try:
-        jobs = args.jobs or _positive_int(os.environ.get(_JOBS_ENV, "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"${_JOBS_ENV}: {exc}") from None
+    jobs = args.jobs or _thread_count()
     out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--full", action="store_true",
                        help="publication-scale replication counts (scale factor 1)")
     p_pow.add_argument("--jobs", type=_positive_int, default=None,
-                       help=f"parallel workers (default ${_JOBS_ENV} or 1)")
+                       help="parallel workers (default: one per usable CPU)")
     p_pow.add_argument("--config", default=None,
                        help="JSON file with any of the keys tests, alternatives, "
                        "estimators, sample_sizes, alpha and desk_scale; flags override")

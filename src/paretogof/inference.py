@@ -31,9 +31,10 @@ Every route decides in one step, :func:`_decide`: pivotal statistics on the
 MLE route, plug-in ones on the MME route, each bootstrap resample refitted
 with the data's estimator. The null, fixed-critical-value and bootstrap
 routes are each one pool of decided rows, :func:`_pool`; warp speed decides
-twice per chunk. A chunk holds ``max(1, 2**16 // n)`` rows, one pass of the
-Philox kernel, and draws its rows' own substreams; every row-wise power is
-evaluated the same way in a block of any size. Only the statistic columns,
+twice per chunk. On one thread a chunk holds ``max(1, 2**16 // n)`` rows, one
+pass of the Philox kernel (on T threads a T-th of one, below), and draws its
+rows' own substreams; every row-wise power is evaluated the same way in a
+block of any size. Only the statistic columns,
 joined in row order, grow with the replication count, and every number
 equals a whole-block run.
 

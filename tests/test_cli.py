@@ -12,8 +12,9 @@ import pytest
 
 import paretogof
 from paretogof import CriticalValueTable, RandomStream, pareto_sample
-from paretogof.cli import main, read_numeric_file
+from paretogof.cli import _parse_tests, main, read_numeric_file
 from paretogof.inference import _TABLE_FORMAT  # noqa: F401  (existence check)
+from paretogof.statistics import ALL_KINDS, EXP_KINDS, PARETO_KINDS
 
 SRC = Path(paretogof.__file__).resolve().parents[1]
 
@@ -191,6 +192,28 @@ def test_unknown_test_token_is_a_usage_error(null_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["test", str(null_file), "--tests", "kolmogorov"])
     assert exc.value.code == 2
+    assert ("unknown test 'kolmogorov'; choose from ad, cv, exp-ad, exp-cv, exp-ks, "
+            "exp-za, g, ks, mp1, mp2, za, pareto, exp, all") in capsys.readouterr().err
+
+
+# every accepted --tests token, each kind's with the label of the kind it parses to
+_KIND_TOKENS = {"ks": "KS", "cv": "CV", "ad": "AD", "za": "ZA", "g": "G",
+                "mp1": "MP1", "mp2": "MP2", "exp-ks": "ExpKS", "exp-cv": "ExpCV",
+                "exp-ad": "ExpAD", "exp-za": "ExpZA"}
+
+
+@pytest.mark.parametrize("token", sorted(_KIND_TOKENS))
+def test_each_kind_token_parses_to_the_kind_with_its_label(token):
+    (kind,) = _parse_tests([token.upper()], 1.0)
+    assert kind.label == _KIND_TOKENS[token]
+    assert kind in ALL_KINDS
+
+
+def test_suite_tokens_parse_to_their_suites():
+    assert _parse_tests(["pareto"], 1.0) == list(PARETO_KINDS)
+    assert _parse_tests(["exp"], 1.0) == list(EXP_KINDS)
+    assert _parse_tests(["all"], 1.0) == list(ALL_KINDS)
+    assert _parse_tests(list(_KIND_TOKENS), 1.0) == list(ALL_KINDS)
 
 
 def test_unknown_estimator_is_a_usage_error(null_file):
@@ -403,13 +426,36 @@ def test_cmd_power_reruns_are_byte_identical(tmp_path, capsys):
     assert (d1 / "power_n10.md").read_bytes() == (d2 / "power_n10.md").read_bytes()
 
 
-def test_cmd_power_parallel_jobs_do_not_change_results(tmp_path, capsys, monkeypatch):
-    d1, d2 = tmp_path / "seq", tmp_path / "par"
-    assert main(_power_args("--output-dir", str(d1))) == 0
-    monkeypatch.setenv("PARETOGOF_JOBS", "2")
-    assert main(_power_args("--output-dir", str(d2))) == 0
+def test_cmd_power_parallel_jobs_do_not_change_results(tmp_path, capsys):
+    csv = []
+    for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
+        d = tmp_path / f"jobs{len(csv)}"
+        assert main(_power_args("--output-dir", str(d), *jobs)) == 0
+        csv.append((d / "power_n10.csv").read_bytes())
     capsys.readouterr()
-    assert (d1 / "power_n10.csv").read_bytes() == (d2 / "power_n10.csv").read_bytes()
+    assert csv[1] == csv[0] and csv[2] == csv[0]
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+def test_cmd_power_defaults_to_one_worker_per_usable_cpu(cpus, monkeypatch, capsys):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def record(config, n, jobs):
+        seen.append(jobs)
+        raise Stop
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(paretogof.cli, "run_power_table", record)
+    with pytest.raises(Stop):
+        main(_power_args())
+    assert seen == [len(cpus)]
+    with pytest.raises(Stop):
+        main(_power_args("--jobs", "3"))
+    assert seen == [len(cpus), 3]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -419,14 +465,6 @@ def test_cmd_power_jobs_must_be_positive(jobs, capsys):
     assert exc.value.code == 2
     assert f"argument --jobs: expected a positive integer, got '{jobs}'" in (
         capsys.readouterr().err)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5"])
-def test_cmd_power_jobs_variable_must_be_positive(value, monkeypatch, capsys):
-    monkeypatch.setenv("PARETOGOF_JOBS", value)
-    assert main(_power_args()) == 2
-    err = capsys.readouterr().err
-    assert "PARETOGOF_JOBS" in err and repr(value) in err
 
 
 def test_cmd_power_full_excludes_scale_factor(capsys):

@@ -1,6 +1,7 @@
 """Sampling layer: stream keying, sample validation, and draw-vs-CDF agreement."""
 
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -155,6 +156,10 @@ def test_pareto_rejects_bad_shape(bad):
     for beta in (bad, np.array([bad, 1.0])):
         with pytest.raises(DomainError):
             statistic_rows([KS], np.full((2, 5), 2.0), beta)
+    # a single sample's statistic is refused by the row evaluation's check
+    with pytest.raises(DomainError, match=re.escape(
+            f"shape parameter must be positive and finite, got {float(bad)!r}")):
+        ks([2.0, 3.0, 4.0], bad)
 
 
 def test_one_shape_functions_refuse_an_array_of_shapes():
