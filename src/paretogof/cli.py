@@ -40,7 +40,6 @@ from .inference import (
     CriticalValueTable,
     UnsupportedPathError,
     _check_alpha,
-    _thread_count,
     bootstrap_pvalue_many,
     null_critical_values,
 )
@@ -296,14 +295,13 @@ def cmd_power(args) -> int:
         raise CliParseError(f"{args.config}: {unread}: no such key (see power --help)")
     config = StudyConfig(tests=tuple(tests), master_seed=args.seed,
                          **{k: v for k, v in fields.items() if v is not None})
-    jobs = args.jobs or _thread_count()
     out_dir = Path(args.output_dir) if args.output_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     tables = []
     for n in config.sample_sizes:
-        table = run_power_table(config, n, jobs=jobs)
+        table = run_power_table(config, n, jobs=args.jobs)
         tables.append(table)
         print(f"n={n}: {len(table.cells)} cells in {table.wall_clock:.1f}s")
         if out_dir:
@@ -395,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replication desk-scale factor (default 0.1)")
     scale.add_argument("--full", action="store_true",
                        help="publication-scale replication counts (scale factor 1)")
-    p_pow.add_argument("--jobs", type=_positive_int, default=None,
-                       help="parallel workers (default: one per usable CPU)")
+    p_pow.add_argument("--jobs", type=_positive_int, default=1,
+                       help="parallel worker processes (default 1)")
     p_pow.add_argument("--config", default=None,
                        help="JSON file with any of the keys tests, alternatives, "
                        "estimators, sample_sizes, alpha and desk_scale; flags override")

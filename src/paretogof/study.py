@@ -239,10 +239,11 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     task returns its cells and notes (see :func:`_cell_outcome`), and the
     table merges them in task order, alternative-major.
 
-    With ``jobs > 1`` the shared pool is the process pool's first task, so it
-    runs in a worker on one thread and the workers start from a parent that
-    has run no route; with ``jobs == 1`` it runs in-process, fanned out over
-    the usable CPUs like any other route.
+    ``jobs`` is capped at the number of tasks. With ``jobs > 1`` the shared
+    pool is the process pool's first task, so it runs in a worker on one
+    thread and the workers start from a parent that has run no route; with
+    ``jobs == 1`` it runs in-process, fanned out over the usable CPUs like
+    any other route.
     """
     if n is None:
         if len(config.sample_sizes) != 1:
@@ -261,6 +262,7 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     notes: list = []
     from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
 
+    jobs = min(jobs, len(alt_ids))
     workers = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
     with workers as pool:
         cv_table = None

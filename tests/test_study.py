@@ -205,6 +205,20 @@ def test_power_table_parallel_matches_sequential(small_table):
         assert par.cells[key].power == cell.power
 
 
+def test_power_table_starts_no_more_workers_than_tasks(monkeypatch):
+    # one alternative and one estimator: one task, so no pool at any job count
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started for a single task")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    cfg = StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=(MME,),
+                      alternatives=(AlternativeSpec(Family.PARETO, 2.0),),
+                      warp_reps=1000, desk_scale=1.0)
+    assert len(run_power_table(cfg, n=20, jobs=4).cells) == 1
+
+
 def test_failed_cells_become_notes_at_every_job_count():
     # a half-normal scale this small rounds every draw onto the support
     # endpoint x = 1, so both of its cells give up after the bounded redraws
