@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product, repeat
+from itertools import product
 
 import numpy as np
 
@@ -228,6 +227,39 @@ def _cell_outcome(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
              for kind in config.tests if kind not in result])
 
 
+def _pooled_outcomes(config: StudyConfig, n_idx: int, tasks: list, cv_args,
+                     jobs: int) -> list:
+    """:func:`_cell_outcome` of every ``(alt_idx, est_idx)`` task on ``jobs``
+    worker processes, in task order.
+
+    The shared critical-value pool (``cv_args``, or None without MLE columns)
+    is submitted first, then every MME task, which gets no table because it
+    never reads one. The pool's table is awaited only to submit the MLE
+    tasks. The workers fork from a parent that has run no route, so no
+    route's heap is copied into them. An exception of the pool or of a task
+    is raised in that order, the pool first and then the tasks in task
+    order, and every task that has not started is cancelled, as
+    ``Executor.map`` does.
+    """
+    from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
+
+    futures: dict = {}
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        try:
+            if cv_args is not None:
+                futures["pool"] = pool.submit(null_critical_values, *cv_args)
+            for mle in (False, True):
+                cv_table = futures["pool"].result() if mle and cv_args else None
+                for i, (alt_idx, est_idx) in enumerate(tasks):
+                    if (config.estimators[est_idx] is EstimatorMethod.MLE) is mle:
+                        futures[i] = pool.submit(_cell_outcome, config, n_idx,
+                                                 alt_idx, est_idx, cv_table)
+            return [futures[i].result() for i in range(len(tasks))]
+        finally:
+            for future in futures.values():
+                future.cancel()
+
+
 def run_power_table(config: StudyConfig, n: int | None = None,
                     jobs: int = 1) -> PowerTable:
     """Power table for one sample size.
@@ -239,11 +271,10 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     task returns its cells and notes (see :func:`_cell_outcome`), and the
     table merges them in task order, alternative-major.
 
-    ``jobs`` is capped at the number of tasks. With ``jobs > 1`` the shared
-    pool is the process pool's first task, so it runs in a worker on one
-    thread and the workers start from a parent that has run no route; with
-    ``jobs == 1`` it runs in-process, fanned out over the usable CPUs like
-    any other route.
+    ``jobs`` is capped at the number of tasks. With ``jobs == 1`` the shared
+    pool runs in-process, fanned out over the usable CPUs like any other
+    route. With ``jobs > 1`` see :func:`_pooled_outcomes`: the shared pool
+    runs in a worker while the MME tasks, which never read it, run beside it.
     """
     if n is None:
         if len(config.sample_sizes) != 1:
@@ -256,26 +287,22 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     n_idx = config.sample_sizes.index(n)
 
     start = time.perf_counter()
-    alt_ids, est_ids = zip(*product(range(len(config.alternatives)),
-                                    range(len(config.estimators))))
+    tasks = list(product(range(len(config.alternatives)), range(len(config.estimators))))
+    cv_args = None
+    if EstimatorMethod.MLE in config.estimators:
+        cv_args = (config.tests, n, [config.alpha], config.scaled_reps("critical"),
+                   _cv_stream(config, n_idx))
+    jobs = min(jobs, len(tasks))
+    if jobs > 1:
+        outcomes = _pooled_outcomes(config, n_idx, tasks, cv_args, jobs)
+    else:
+        cv_table = null_critical_values(*cv_args) if cv_args else None
+        outcomes = (_cell_outcome(config, n_idx, *task, cv_table) for task in tasks)
     cells: dict = {}
     notes: list = []
-    from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
-
-    jobs = min(jobs, len(alt_ids))
-    workers = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
-    with workers as pool:
-        cv_table = None
-        if EstimatorMethod.MLE in config.estimators:
-            cv_args = (config.tests, n, [config.alpha], config.scaled_reps("critical"),
-                       _cv_stream(config, n_idx))
-            cv_table = (pool.submit(null_critical_values, *cv_args).result() if pool
-                        else null_critical_values(*cv_args))
-        for part, part_notes in (pool.map if pool else map)(
-                _cell_outcome, repeat(config), repeat(n_idx), alt_ids, est_ids,
-                repeat(cv_table)):
-            cells.update(part)
-            notes.extend(part_notes)
+    for part, part_notes in outcomes:
+        cells.update(part)
+        notes.extend(part_notes)
 
     return PowerTable(
         n=n,

@@ -198,11 +198,153 @@ def test_power_table_is_deterministic(small_table):
         assert again.cells[key].power == cell.power
 
 
-def test_power_table_parallel_matches_sequential(small_table):
-    cfg, tab = small_table
-    par = run_power_table(cfg, n=20, jobs=2)
-    for key, cell in tab.cells.items():
-        assert par.cells[key].power == cell.power
+_GRIDS = {"mle-only": (MLE,), "mme-only": (MME,), "both": (MME, MLE)}
+
+
+@pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
+def test_power_table_parallel_matches_sequential(estimators):
+    # ExpKS is not applicable on the moment route, so MME columns carry notes
+    cfg = StudyConfig(
+        sample_sizes=(20,),
+        tests=(KS, MP2, EXP_KS),
+        estimators=estimators,
+        alternatives=(AlternativeSpec(Family.PARETO, 2.0),
+                      AlternativeSpec(Family.GAMMA, 1.2)),
+        critical_reps=2000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
+    )
+    serial = run_power_table(cfg, n=20, jobs=1)
+    parallel = run_power_table(cfg, n=20, jobs=2)
+    assert len(serial.cells) == 2 * (3 * (MLE in estimators) + 2 * (MME in estimators))
+    assert list(parallel.cells.items()) == list(serial.cells.items())
+    assert parallel.notes == serial.notes
+    assert len(serial.notes) == 2 * (MME in estimators)
+
+
+class _FakeFuture:
+    """A future that runs its call only when its result is read."""
+
+    def __init__(self, log, label, fn, args):
+        self.log, self.label, self.fn, self.args = log, label, fn, args
+        self.state = "pending"
+
+    def result(self):
+        self.log.append(("result", self.label))
+        if self.state == "pending":
+            self.state = "done"
+            try:
+                self.value = self.fn(*self.args)
+            except Exception as exc:  # raised again on every read, as a future does
+                self.value, self.state = exc, "raised"
+        if self.state == "raised":
+            raise self.value
+        return self.value
+
+    def cancel(self):
+        if self.state == "pending":
+            self.state = "cancelled"
+        return self.state == "cancelled"
+
+
+class _FakeExecutor:
+    """Records what ``run_power_table`` submits and reads, and in what order."""
+
+    def __init__(self, max_workers):
+        self.log, self.futures = [], []
+
+    def __enter__(self):
+        _FakeExecutor.last = self
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        if fn.__name__ == "_cell_outcome":  # (config, n_idx, alt_idx, est_idx, cv_table)
+            config, _, alt_idx, est_idx, table = args
+            label = (alt_idx, config.estimators[est_idx], table)
+        else:  # the shared critical-value pool
+            label = "pool"
+        self.log.append(("submit", label))
+        self.futures.append(_FakeFuture(self.log, label, fn, args))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def fake_executor(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakeExecutor)
+    return _FakeExecutor
+
+
+def _two_by_grid(estimators):
+    return StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=estimators,
+                       alternatives=(AlternativeSpec(Family.PARETO, 2.0),
+                                     AlternativeSpec(Family.GAMMA, 1.2)),
+                       critical_reps=1000, power_reps=1000, warp_reps=1000,
+                       desk_scale=1.0)
+
+
+@pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
+def test_power_table_runs_mme_cells_while_the_pool_is_built(fake_executor, estimators):
+    cfg = _two_by_grid(estimators)
+    table, serial = run_power_table(cfg, n=20, jobs=2), run_power_table(cfg, n=20, jobs=1)
+    assert list(table.cells.items()) == list(serial.cells.items())
+    log = fake_executor.last.log
+    submits = [label for event, label in log if event == "submit"]
+    if MLE not in estimators:
+        assert "pool" not in submits
+        assert all(cv is None for *_, cv in submits)
+        return
+    assert submits[0] == "pool"
+    awaited = log.index(("result", "pool"))
+    cv_table = fake_executor.last.futures[0].value
+    for i, (event, label) in enumerate(log):
+        if event == "submit" and label != "pool":
+            _, estimator, table_arg = label
+            # MME cells before the pool's table is read, and without it
+            assert (i < awaited) == (estimator is MME)
+            assert table_arg is (cv_table if estimator is MLE else None)
+    assert len(submits) == 1 + 2 * len(estimators)
+
+
+def _failing_cell(failing):
+    def run_cell(config, n_idx, alt_idx, est_idx, cv_table):
+        if (alt_idx, est_idx) in failing:
+            raise RuntimeError(f"cell {alt_idx} {est_idx}")
+        return {}
+    return run_cell
+
+
+def test_pooled_cell_errors_raise_in_task_order_and_cancel_the_rest(
+        fake_executor, monkeypatch):
+    import paretogof.study as study
+
+    # tasks in order: (0, MME), (0, MLE), (1, MME), (1, MLE). (1, MME) is
+    # submitted before (0, MLE), but (0, MLE) comes first in task order
+    monkeypatch.setattr(study, "_run_cell", _failing_cell({(0, 1), (1, 0)}))
+    with pytest.raises(RuntimeError, match="cell 0 1"):
+        run_power_table(_two_by_grid((MME, MLE)), n=20, jobs=2)
+    states = {f.label if f.label == "pool" else f.label[:2]: f.state
+              for f in fake_executor.last.futures}
+    assert states == {"pool": "done", (0, MME): "done", (0, MLE): "raised",
+                      (1, MME): "cancelled", (1, MLE): "cancelled"}
+
+
+def test_pooled_pool_error_raises_first_and_cancels_every_cell(
+        fake_executor, monkeypatch):
+    import paretogof.study as study
+
+    def broken_pool(*args):
+        raise RuntimeError("pool")
+
+    monkeypatch.setattr(study, "null_critical_values", broken_pool)
+    monkeypatch.setattr(study, "_run_cell", _failing_cell({(0, 0)}))
+    with pytest.raises(RuntimeError, match="pool"):
+        run_power_table(_two_by_grid((MME, MLE)), n=20, jobs=2)
+    futures = fake_executor.last.futures
+    assert [f.label[:2] for f in futures[1:]] == [(0, MME), (1, MME)]  # no MLE cell
+    assert [f.state for f in futures] == ["raised", "cancelled", "cancelled"]
 
 
 def test_power_table_starts_no_more_workers_than_tasks(monkeypatch):
