@@ -12,14 +12,15 @@ Exit codes are distinct per failure class: 0 success, 2 usage errors
 (including option values outside their domain and an invalid study grid),
 3 input files that fail to parse and ``--config`` values that the matching
 option's parser rejects, 4 domain errors in the data, such as observations
-outside the model support. Every run prints its resolved seed; replaying
+outside the model support, and 1, quietly, an output pipe that the reader
+closed early. Every run prints its resolved seed; replaying
 with that seed reproduces the output byte for byte.
 """
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 from random import SystemRandom
@@ -27,7 +28,6 @@ from random import SystemRandom
 import numpy as np
 
 from .distributions import (
-    _PHILOX_BLOCK,
     AlternativeSpec,
     Contaminant,
     DomainError,
@@ -190,30 +190,6 @@ def read_numeric_file(path) -> np.ndarray:
     if not values:
         raise CliParseError(f"{path}: no numeric observations found")
     return np.asarray(values, dtype=np.float64)
-
-
-def _keep_chunk_heap() -> None:
-    """Keep the heap a route's chunks free for the next chunk (glibc only).
-
-    A one-thread chunk holds arrays of ``_PHILOX_BLOCK`` float64 words,
-    512 KiB each. glibc's default policy returns the freed top of the heap to
-    the system after each chunk, so the next chunk faults its pages in again.
-    Arrays below 4 MiB, 8 such chunk arrays, come from the heap, and the top
-    is returned only once twice that lies free. Both thresholds are set,
-    because setting either one turns off glibc's dynamic threshold. Forked
-    workers inherit the policy. Elsewhere, or where libc has no ``mallopt``,
-    this does nothing.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    chunk_arrays = 8 * _PHILOX_BLOCK * 8  # 8 arrays of 2**16 float64 words: 4 MiB
-    mallopt(-3, chunk_arrays)  # M_MMAP_THRESHOLD
-    mallopt(-1, 2 * chunk_arrays)  # M_TRIM_THRESHOLD
 
 
 def _fmt_thousands(x: float) -> str:
@@ -445,10 +421,16 @@ def main(argv=None) -> int:
     if args.tests is not None:  # after parsing, so --tuning-a may follow --tests
         args.tests = _parse_tests(args.tests, args.tuning_a)
     args.seed = _resolve_seed(args.seed)
-    print(f"seed: {args.seed}")
-    _keep_chunk_heap()  # after the seed line, which ends the timed start-up
     try:
-        return args.func(args)
+        print(f"seed: {args.seed}")
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): exit quietly, with
+        # stdout on the null device so that the final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CliParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

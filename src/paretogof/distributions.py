@@ -124,10 +124,9 @@ def _philox_uniforms(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
     ``(ids[i], seed)``; its block counters run 1..ceil(n/4), and each
     64-bit output word becomes the double ``(word >> 11) * 2**-53``. Rows are
     drawn in passes of ``_PHILOX_BLOCK // n`` rows but at least one, the rule
-    by which the inference routes chunk their rows on one thread, so a route's
-    chunk is one pass on one thread and a T-th of one on T threads. For n
-    within the budget a pass holds at most ``1 + 3/n`` times the budget in
-    words.
+    by which the inference routes chunk their rows, so a route's chunk is one
+    pass. For n within the budget a pass holds at most ``1 + 3/n`` times the
+    budget in words.
     """
     blocks = -(-n // 4)
     out = np.empty((ids.size, n), dtype=np.float64)

@@ -31,22 +31,17 @@ Every route decides in one step, :func:`_decide`: pivotal statistics on the
 MLE route, plug-in ones on the MME route, each bootstrap resample refitted
 with the data's estimator. The null, fixed-critical-value and bootstrap
 routes are each one pool of decided rows, :func:`_pool`; warp speed decides
-twice per chunk. On one thread a chunk holds ``max(1, 2**16 // n)`` rows, one
-pass of the Philox kernel (on T threads a T-th of one, below), and draws its
-rows' own substreams; every row-wise power is evaluated the same way in a
-block of any size. Only the statistic columns,
-joined in row order, grow with the replication count, and every number
-equals a whole-block run.
+twice per chunk. A chunk holds ``max(1, 2**16 // n)`` rows, one pass of
+the Philox kernel, and draws its rows' own substreams; every row-wise power
+is evaluated the same way in a block of any size. Only the statistic
+columns, joined in row order, grow with the replication count, and every
+number equals a whole-block run.
 
-A route of more than one chunk runs its chunks on T threads, one per CPU
-the process may use (``os.sched_getaffinity``, so ``taskset`` limits it)
-and at most one per chunk. The ``2**16``-word budget is then split, a
-chunk holding ``2**16 // T`` words, so the words in flight and the peak
-memory stay those of one serial chunk. A one-chunk route, and every route
-in a multiprocessing child such as a ``power --jobs`` worker, runs on the
-calling thread. One ordered map runs the chunks and the calling thread
-writes their columns in row order. Rows draw their own substreams, so
-every column is the same, bit for bit, whatever T is.
+Every route runs its chunks one after another on the calling thread, which
+writes their columns in row order, so a process runs its routes on one
+thread. ``power --jobs`` runs its cells on worker processes, each of which
+runs its routes the same way, so every column is the same, bit for bit, at
+any CPU count and any job count.
 
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes
@@ -58,10 +53,10 @@ cell as failed.
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import math
-import os
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -101,6 +96,7 @@ __all__ = [
 _TABLE_FORMAT = "paretogof-critical-values v1"
 _TABLE_COLUMNS = ["kind", "estimator", "n", "alpha", "reps", "seed", "value"]
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
+_CHUNK_ARRAYS = 8 * _PHILOX_BLOCK * 8  # bytes of 8 arrays of 2**16 float64 words: 4 MiB
 
 
 class UnsupportedPathError(ValueError):
@@ -138,18 +134,31 @@ def upper_quantile(values: np.ndarray, alpha: float) -> float:
 # evaluation conventions
 
 
-def _thread_count() -> int:
-    """Threads for a fanned-out route: one per CPU the process may use, but
-    one in any multiprocessing child, whose siblings already fill the CPUs.
-    A child started through ``multiprocessing`` has it loaded, so a process
-    without it is no child and need not import it (about 0.5 MB)."""
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
+@functools.cache
+def _keep_chunk_heap() -> None:
+    """Keep the heap a route's chunks free for the next chunk (glibc only).
+
+    A chunk holds arrays of up to ``_PHILOX_BLOCK`` float64 words, 512 KiB
+    each. glibc's default policy returns the freed top of the heap to the
+    system after each chunk, so the next chunk faults its pages in again.
+    :func:`_row_blocks` calls this the first time a route runs more than one
+    chunk, and the cache makes that once per process. The setting is
+    process-wide, and bounded: arrays below 4 MiB, 8 such chunk arrays, come
+    from the heap, so arrays of 4 MiB or more are still mapped, and at most
+    8 MiB of free heap top is kept. Both thresholds are set, because setting
+    either one turns off glibc's dynamic threshold. Forked workers inherit
+    the policy. Elsewhere, or where libc has no ``mallopt``, this does
+    nothing.
+    """
+    if not sys.platform.startswith("linux"):
+        return
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, _CHUNK_ARRAYS)  # M_MMAP_THRESHOLD
+    mallopt(-1, 2 * _CHUNK_ARRAYS)  # M_TRIM_THRESHOLD
 
 
 def _row_blocks(block, reps: int, n: int) -> tuple:
@@ -161,34 +170,24 @@ def _row_blocks(block, reps: int, n: int) -> tuple:
     estimator and kernel is row-independent, so the columns equal one
     whole-block evaluation however the rows are chunked.
 
-    The chunks hold ``_PHILOX_BLOCK // T`` words, ``_PHILOX_BLOCK // T // n``
-    rows but at least one, the last chunk holding what is left, for T the
-    thread count of :func:`_thread_count`. With more than one chunk they run
-    on min(T, chunks) threads, so the T chunks in flight hold the words of
-    one serial chunk; a single chunk, or T = 1, runs on the calling thread
-    and makes no pool. Either way the chunks go through one ordered map, and
-    the calling thread writes each chunk's columns into their row range as
-    it arrives, so the first error in row order is raised and the chunks not
-    yet started are cancelled. The pool is made and shut down within the
-    call, so no thread is left running.
+    The chunks hold ``_PHILOX_BLOCK // n`` rows but at least one, one pass of
+    the Philox kernel, the last chunk holding what is left. They run one
+    after another on the calling thread, which writes each chunk's columns
+    into their row range as it returns, so the first error in row order is
+    raised and no later chunk starts.
     """
-    threads = _thread_count()
-    rows = max(1, _PHILOX_BLOCK // threads // max(n, 1))
-    spans = [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
-    threads = min(threads, len(spans))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor  # kept out of the CLI's start-up
-
+    rows = max(1, _PHILOX_BLOCK // max(n, 1))
+    if reps > rows:
+        _keep_chunk_heap()
     out = None
-    workers = ThreadPoolExecutor(threads) if threads > 1 else nullcontext()
-    with workers as pool:
-        parts = (pool.map if pool else map)(lambda s: block(*s), spans)
-        for (lo, hi), part in zip(spans, parts):
-            if out is None:
-                out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
-            for cols, d in zip(out, part):
-                for k, v in d.items():
-                    cols[k][lo:hi] = v
+    for lo in range(0, reps, rows):
+        hi = min(lo + rows, reps)
+        part = block(lo, hi)
+        if out is None:
+            out = tuple({k: np.empty(reps, v.dtype) for k, v in d.items()} for d in part)
+        for cols, d in zip(out, part):
+            for k, v in d.items():
+                cols[k][lo:hi] = v
     return out
 
 

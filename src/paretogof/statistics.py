@@ -187,8 +187,8 @@ def _edf_sorted(pw: np.ndarray):
 # ---------------------------------------------------------------------------
 # row kernels: x is (m, n) and xs its sorted rows, b the (m, 1) shape column,
 # f the clamped CDF at xs, j the ranks 1..n and w the weights of order_weights.
-# A threaded chunk's (m, n) arrays fall just below numpy's 256 KiB threshold
-# for reusing an expression's temporaries, so the kernels update their
+# numpy reuses an expression's temporaries only in arrays of 256 KiB or more,
+# which a short chunk's (m, n) arrays fall below, so the kernels update their
 # temporaries in place, in the operations and order of the plain expressions
 # (the same bits).
 

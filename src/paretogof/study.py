@@ -272,9 +272,9 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     table merges them in task order, alternative-major.
 
     ``jobs`` is capped at the number of tasks. With ``jobs == 1`` the shared
-    pool runs in-process, fanned out over the usable CPUs like any other
-    route. With ``jobs > 1`` see :func:`_pooled_outcomes`: the shared pool
-    runs in a worker while the MME tasks, which never read it, run beside it.
+    pool runs in-process, on the calling thread like any other route. With
+    ``jobs > 1`` see :func:`_pooled_outcomes`: the shared pool runs in a
+    worker while the MME tasks, which never read it, run beside it.
     """
     if n is None:
         if len(config.sample_sizes) != 1:

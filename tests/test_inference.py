@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -544,13 +543,12 @@ _ROW_BLOCKS = inference._row_blocks
 
 def _usable_cpus(monkeypatch, cpus):
     """Make the process look as if it may use ``cpus`` CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _chunks_of(monkeypatch, rows, n):
     """Chunk every route's rows ``rows`` at a time on one thread; record the
     chunk sizes and the statistic columns the chunk map returns."""
-    _usable_cpus(monkeypatch, 1)
     monkeypatch.setattr(inference, "_PHILOX_BLOCK", rows * n)
     seen = {"sizes": [], "columns": []}
 
@@ -594,7 +592,6 @@ def _assert_columns(got, want):
 def test_row_blocks_cover_every_row_once_and_never_one_alone(reps, monkeypatch):
     # every row once, in order, in 3-row chunks and a shorter last one; the
     # name is historical: a 1-row tail is now a chunk of its own
-    _usable_cpus(monkeypatch, 1)
     seen = []
 
     def block(lo, hi):
@@ -706,14 +703,12 @@ def test_bootstrap_pool_equals_one_whole_block(estimator, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# thread fan-out
+# one thread: every chunk on the calling thread
 
 
-def _fanned_out(monkeypatch, threads, words=None):
-    """Fan every route out over ``threads`` threads in chunks of ``words //
-    threads`` words (of the sampler's budget when ``words`` is None); record
-    each chunk's rows and thread, and the columns."""
-    _usable_cpus(monkeypatch, threads)
+def _on_one_thread(monkeypatch, words=None):
+    """Chunk every route's rows by ``words`` words (the sampler's budget when
+    ``words`` is None); record each chunk's rows and thread, and the columns."""
     if words is not None:
         monkeypatch.setattr(inference, "_PHILOX_BLOCK", words)
     seen = {"spans": [], "idents": set(), "columns": []}
@@ -773,7 +768,7 @@ def _bootstrap_route(estimator):
     return lambda: bootstrap_pvalue_many(kinds, estimator, s, B, stream), want, B
 
 
-_FAN_OUT_ROUTES = {
+_ROUTES = {
     "null": _null_route,
     "fixed-critical": _fixed_critical_route,
     "warp-mle": lambda: _warp_route(MLE),
@@ -783,41 +778,45 @@ _FAN_OUT_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-@pytest.mark.parametrize("route", list(_FAN_OUT_ROUTES))
-def test_every_route_gives_the_columns_of_one_whole_block_on_any_thread_count(
-        route, threads, monkeypatch):
-    n, words = 20, 840  # chunks of 42, 21 and 14 rows on 1, 2 and 3 threads
-    call, want, reps = _FAN_OUT_ROUTES[route]()
-    seen = _fanned_out(monkeypatch, threads, words)
+@pytest.mark.parametrize("words", [840, 420, 280])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_every_route_gives_the_columns_of_one_whole_block_at_any_chunk_size(
+        route, words, monkeypatch):
+    n = 20  # chunks of 42, 21 and 14 rows
+    call, want, reps = _ROUTES[route]()
+    seen = _on_one_thread(monkeypatch, words)
     before = threading.active_count()
     call()
-    assert threading.active_count() == before  # no thread outlives the call
-    rows = words // threads // n
-    assert sorted(seen["spans"]) == [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
-    main = threading.get_ident()
-    if threads == 1:
-        assert seen["idents"] == {main}
-    else:
-        assert main not in seen["idents"] and len(seen["idents"]) <= threads
+    assert threading.active_count() == before  # no thread is started
+    rows = words // n
+    assert seen["spans"] == [(lo, min(lo + rows, reps)) for lo in range(0, reps, rows)]
+    assert seen["idents"] == {threading.get_ident()}
     (got,) = seen["columns"]
     assert len(got) == len(want)
     for cols, oracle in zip(got, want):
         _assert_columns(cols, oracle)
 
 
-def _idents_of_row_blocks(monkeypatch, reps, n):
-    """Run ``reps`` rows of size ``n`` through the chunk map on 3 usable CPUs;
-    return each chunk's thread and the arguments of each thread pool made."""
-    _usable_cpus(monkeypatch, 3)
-    made = []
+def test_every_routes_chunks_are_the_same_on_one_cpu_and_on_three(monkeypatch):
+    # the chunk size is the sampler's budget alone, whatever taskset allows
+    for route in _ROUTES.values():
+        spans = []
+        for cpus in (1, 3):
+            _usable_cpus(monkeypatch, cpus)
+            call, _, _ = route()
+            seen = _on_one_thread(monkeypatch, 840)
+            call()
+            spans.append(seen["spans"])
+        assert spans[0] == spans[1] and len(spans[0]) > 1
 
-    class Counted(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_only_a_route_of_more_than_one_chunk_keeps_the_heap(chunks, monkeypatch):
+    # a full chunk, or one row more; either runs on the calling thread
+    n = 20
+    reps = inference._PHILOX_BLOCK // n + chunks - 1
+    kept = []
+    monkeypatch.setattr(inference, "_keep_chunk_heap", lambda: kept.append(1))
     seen = []
 
     def block(lo, hi):
@@ -826,106 +825,47 @@ def _idents_of_row_blocks(monkeypatch, reps, n):
 
     out = inference._row_blocks(block, reps, n)
     assert np.array_equal(out[0]["r"], np.arange(reps))
-    return seen, made
+    assert seen == [threading.get_ident()] * chunks
+    assert kept == [1] * (chunks - 1)
 
 
-def test_a_one_chunk_route_runs_on_the_calling_thread(monkeypatch):
-    # a third of the budget is one chunk at T = 3: no pool is made for it
-    n = 20
-    reps = inference._PHILOX_BLOCK // 3 // n
-    seen, made = _idents_of_row_blocks(monkeypatch, reps, n)
-    assert seen == [threading.get_ident()] and made == []
-
-
-def test_a_two_chunk_route_runs_off_the_calling_thread(monkeypatch):
-    # one row more than a chunk at T = 3 is two chunks, on a pool of two
-    n = 20
-    reps = inference._PHILOX_BLOCK // 3 // n + 1
-    seen, made = _idents_of_row_blocks(monkeypatch, reps, n)
-    assert len(seen) == 2 and threading.get_ident() not in seen
-    assert made == [(2,)]
-
-
-def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch):
-    # chunk 2 fails first in time, chunk 1 after it: chunk 1's error is the
-    # one a run on one thread raises
-    _usable_cpus(monkeypatch, 3)
-    later_failed = threading.Event()
+def test_a_failing_chunk_raises_the_first_error_in_row_order():
+    # chunks 1 and 2 would both fail: chunk 1's error is raised, and no chunk
+    # after it is started
     started = []
 
     def block(lo, hi):
         started.append(lo)
-        if lo == 1:
-            later_failed.wait(10)
-            raise DomainError("chunk 1")
-        if lo == 2:
-            later_failed.set()
-            raise DomainError("chunk 2")
-        time.sleep(0.01)
+        if lo in (1, 2):
+            raise DomainError(f"chunk {lo}")
         return ({"r": np.arange(lo, hi, dtype=float)},)
 
-    reps = 200
-    before = threading.active_count()
     with pytest.raises(DomainError, match="chunk 1"):
-        inference._row_blocks(block, reps, inference._PHILOX_BLOCK)  # 1-row chunks
-    assert threading.active_count() == before
-    assert {0, 1, 2} <= set(started)
-    assert len(started) < reps  # the chunks not yet started were cancelled
-
-
-def test_the_fan_out_keeps_every_row_under_frequent_thread_switches(monkeypatch):
-    # more threads than cores, the first chunks finishing together and a short
-    # switch interval: every chunk's rows must still land in the one set of
-    # columns that is returned
-    threads = 8
-    _usable_cpus(monkeypatch, threads)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            together = threading.Barrier(threads, timeout=10)
-
-            def block(lo, hi):
-                if lo < threads:
-                    together.wait()
-                return ({"r": np.arange(lo, hi, dtype=float)},
-                        {"s": -np.arange(lo, hi, dtype=float)})
-
-            out = inference._row_blocks(block, 500, inference._PHILOX_BLOCK)  # 1-row chunks
-            assert len(out) == 2
-            assert np.array_equal(out[0]["r"], np.arange(500))
-            assert np.array_equal(out[1]["s"], -np.arange(500.0))
-    finally:
-        sys.setswitchinterval(interval)
+        inference._row_blocks(block, 200, inference._PHILOX_BLOCK)  # 1-row chunks
+    assert started == [0, 1]
 
 
 @pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
                     reason="the patches reach the pool workers through fork only")
-def test_power_pool_workers_run_every_route_on_one_thread(monkeypatch):
-    # every route would fan out over two threads, and a fan-out fails its cell
-    _fanned_out(monkeypatch, 2, 400)
-
+def test_no_route_makes_a_thread_pool_in_process_or_in_power_workers(monkeypatch):
     def refuse(*args, **kwargs):
-        raise ValueError("fanned out")
+        raise ValueError("thread pool")
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    for route in _ROUTES.values():  # each in several chunks
+        call, _, _ = route()
+        seen = _on_one_thread(monkeypatch, 400)
+        call()
+        assert len(seen["spans"]) > 1
+    # the warp-speed cells, and the MLE cells with their shared critical-value
+    # pool, in process and in two workers
     cfg = StudyConfig(
-        sample_sizes=(20,), tests=(KS,), estimators=(MME,), alternatives=(GAMMA12, NULL2),
-        warp_reps=1000, desk_scale=1.0,
+        sample_sizes=(20,), tests=(KS,), estimators=(MLE, MME), alternatives=(GAMMA12, NULL2),
+        critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
     )
-    table = run_power_table(cfg, n=20, jobs=2)
-    assert table.notes == [] and len(table.cells) == 2
-    failed = run_power_table(cfg, n=20, jobs=1).notes  # the patches bite in process
-    assert len(failed) == 2 and all(note.endswith("failed (fanned out)") for note in failed)
-    # the MLE columns' shared critical-value pool runs in a worker too
-    mle = StudyConfig(
-        sample_sizes=(20,), tests=(KS,), estimators=(MLE,), alternatives=(GAMMA12, NULL2),
-        critical_reps=1000, power_reps=1000, desk_scale=1.0,
-    )
-    table = run_power_table(mle, n=20, jobs=2)
-    assert table.notes == [] and len(table.cells) == 2
-    with pytest.raises(ValueError, match="fanned out"):  # in process, before any cell
-        run_power_table(mle, n=20, jobs=1)
+    for jobs in (1, 2):
+        table = run_power_table(cfg, n=20, jobs=jobs)
+        assert table.notes == [] and len(table.cells) == 4
 
 
 def test_a_power_pool_parent_runs_no_route(monkeypatch):
@@ -952,38 +892,24 @@ def test_a_power_pool_parent_runs_no_route(monkeypatch):
 
 
 @pytest.mark.parametrize("estimator", [MME, MLE], ids=["mme", "mle"])
-def test_the_large_sample_bootstrap_fans_out_on_two_cpus(estimator, monkeypatch):
-    # B = 150 rows of n = 1000 at the sampler's own word budget: 32-row
-    # chunks on two threads, the route a `test` of 1000 observations runs
+def test_the_large_sample_bootstrap_equals_one_whole_block(estimator, monkeypatch):
+    # B = 150 rows of n = 1000 at the sampler's own word budget: chunks of 65,
+    # 65 and 20 rows, the route a `test` of 1000 observations runs
     s = pareto_sample(2.5, 1000, RandomStream(614, 0))
     B, stream = 150, RandomStream(614, 1)
     kinds = ALL_KINDS if estimator is MLE else PARETO_KINDS
     est = mle_rows if estimator is MLE else mme_rows
     xb = bootstrap_rows(np.full(B, estimate_shape(s, estimator).value), s.n, stream)
     want = _decision_oracle(kinds, xb, est(xb), estimator)
-    seen = _fanned_out(monkeypatch, 2)
+    seen = _on_one_thread(monkeypatch)
     bootstrap_pvalue_many(kinds, estimator, s, B, stream)
-    assert len(seen["spans"]) > 1 and threading.get_ident() not in seen["idents"]
+    assert seen["spans"] == [(0, 65), (65, 130), (130, 150)]
     (got,) = seen["columns"]
     _assert_columns(got[0], want)
 
 
-@pytest.mark.parametrize("method", ["spawn", "forkserver"])
-def test_a_child_started_without_fork_runs_its_routes_on_one_thread(method, monkeypatch):
-    # a spawned child imports multiprocessing to start; the thread rule reads
-    # it from sys.modules rather than importing it in every process
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"no {method} start method on this platform")
-    _usable_cpus(monkeypatch, 3)
-    assert inference._thread_count() == 3
-    context = multiprocessing.get_context(method)
-    with concurrent.futures.ProcessPoolExecutor(1, mp_context=context) as pool:
-        assert pool.submit(inference._thread_count).result() == 1
-
-
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # the thread and process pools are imported where they are made, and the
-    # thread rule never imports multiprocessing
+    # the power study's process pool is imported where it is made
     src = str(Path(paretogof.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -993,6 +919,73 @@ def test_cli_import_leaves_concurrent_futures_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+# ---------------------------------------------------------------------------
+# the chunk heap
+
+
+def _src_env():
+    src = str(Path(paretogof.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+
+
+def _child_minor_faults(argv) -> int:
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the heap policy is glibc's, and the fault count Linux's")
+def test_minor_faults_do_not_grow_with_the_chunk_count():
+    # a route's chunks reuse the heap the previous chunk freed: 20 times the
+    # chunks cost about 1 400 more faults, where trimming the heap after each
+    # chunk cost 7 000 to 27 000 more
+    argv = [sys.executable, "-m", "paretogof.cli", "critical-values", "--n", "20",
+            "--seed", "3", "--reps"]
+    few, many = (_child_minor_faults(argv + [str(reps)]) for reps in (2_000, 40_000))
+    assert many - few < 5_000, (few, many)
+
+
+_FAULT_PROBE = """
+import resource, sys
+from paretogof import ALL_KINDS, RandomStream, null_critical_values
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+null_critical_values(ALL_KINDS, 20, [0.05], int(sys.argv[1]), RandomStream(3))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the heap policy is glibc's, and the fault count Linux's")
+def test_library_routes_keep_their_heap_without_the_cli():
+    # the faults of the call alone, in a fresh process that never runs the
+    # CLI: 40 000 rows are 13 chunks at n = 20, 2 000 rows one. The 12 more
+    # chunks cost about 300 to 600 more faults, where trimming the heap after
+    # each chunk cost 7 000 on one thread and 16 000 to 20 000 on two
+    faults = []
+    for reps in (2_000, 40_000):
+        proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(reps)], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults.append(int(proc.stdout))
+    assert faults[1] - faults[0] < 3_000, faults
+
+
+def test_heap_policy_is_skipped_where_libc_has_no_mallopt(monkeypatch):
+    import ctypes
+
+    keep = inference._keep_chunk_heap.__wrapped__  # past the once-per-process cache
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # no mallopt attribute
+    assert keep() is None
+    monkeypatch.setattr(inference.sys, "platform", "darwin")
+    monkeypatch.setattr(ctypes, "CDLL", None)  # not reached off Linux
+    assert keep() is None
 
 
 def _sample_with_mle(target, n, seed):
@@ -1041,10 +1034,7 @@ def test_null_pool_memory_stays_flat_in_the_replication_count():
     # imports' 29 MB. A fresh process, so no earlier test's peak counts. It
     # reads VmHWM, the peak of its own address space: ru_maxrss also carries
     # the peak of the process that launched it, here the pytest process's.
-    src = str(Path(paretogof.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _PEAK_PROBE], env=_src_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < 100
