@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--full", action="store_true",
                        help="publication-scale replication counts (scale factor 1)")
     p_pow.add_argument("--jobs", type=_positive_int, default=1,
-                       help="parallel worker processes (default 1)")
+                       help="processes that run cells, this one included (default 1)")
     p_pow.add_argument("--config", default=None,
                        help="JSON file with any of the keys tests, alternatives, "
                        "estimators, sample_sizes, alpha and desk_scale; flags override")

@@ -13,6 +13,7 @@ them for Pareto-ness with bootstrap p-values.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -229,31 +230,50 @@ def _cell_outcome(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
 
 def _pooled_outcomes(config: StudyConfig, n_idx: int, tasks: list, cv_args,
                      jobs: int) -> list:
-    """:func:`_cell_outcome` of every ``(alt_idx, est_idx)`` task on ``jobs``
-    worker processes, in task order.
+    """:func:`_cell_outcome` of every ``(alt_idx, est_idx)`` task on this
+    process and ``jobs - 1`` worker processes, in task order.
 
-    The shared critical-value pool (``cv_args``, or None without MLE columns)
-    is submitted first, then every MME task, which gets no table because it
-    never reads one. The pool's table is awaited only to submit the MLE
-    tasks. The workers fork from a parent that has run no route, so no
-    route's heap is copied into them. An exception of the pool or of a task
-    is raised in that order, the pool first and then the tasks in task
-    order, and every task that has not started is cancelled, as
-    ``Executor.map`` does.
+    Every MME task is submitted first, with no table, since it never reads
+    one. The first submit starts the workers, so on a grid with MME tasks
+    they fork before this process runs any route of the table. This process
+    then builds the shared critical-value pool (``cv_args``, or None without
+    MLE columns) itself and submits the MLE tasks with its table. Last, it
+    runs tasks itself, the MME tasks and then the MLE tasks, each group from
+    the back of the queue: it cancels each task before it runs it, and
+    leaves a group at the first task that a worker has started or that the
+    executor has queued for one. The short MLE tasks thus come last on both
+    sides, so this process does not sit idle while a worker finishes a long
+    MME task. An exception of the pool is raised first, then that of the
+    first failing task in task order, whichever process ran it; this process
+    runs no task after one fails, and every task that has not started is
+    cancelled, as ``Executor.map`` does.
     """
-    from concurrent.futures import ProcessPoolExecutor  # kept out of the CLI's start-up
+    # kept out of the CLI's start-up
+    from concurrent.futures import Future, ProcessPoolExecutor
 
+    groups: tuple = ([], [])  # the MME tasks, then the MLE tasks
+    for i, (_, est_idx) in enumerate(tasks):
+        groups[config.estimators[est_idx] is EstimatorMethod.MLE].append(i)
+    calls: dict = {}
     futures: dict = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
         try:
-            if cv_args is not None:
-                futures["pool"] = pool.submit(null_critical_values, *cv_args)
-            for mle in (False, True):
-                cv_table = futures["pool"].result() if mle and cv_args else None
-                for i, (alt_idx, est_idx) in enumerate(tasks):
-                    if (config.estimators[est_idx] is EstimatorMethod.MLE) is mle:
-                        futures[i] = pool.submit(_cell_outcome, config, n_idx,
-                                                 alt_idx, est_idx, cv_table)
+            for mle, group in enumerate(groups):
+                cv_table = null_critical_values(*cv_args) if mle and group else None
+                for i in group:
+                    calls[i] = (config, n_idx, *tasks[i], cv_table)
+                    futures[i] = pool.submit(_cell_outcome, *calls[i])
+            failed = False
+            for group in groups:
+                for i in reversed(group):
+                    if failed or not futures[i].cancel():
+                        break
+                    futures[i] = Future()
+                    try:
+                        futures[i].set_result(_cell_outcome(*calls[i]))
+                    except Exception as exc:  # raised in task order below
+                        futures[i].set_exception(exc)
+                        failed = True
             return [futures[i].result() for i in range(len(tasks))]
         finally:
             for future in futures.values():
@@ -271,11 +291,16 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     task returns its cells and notes (see :func:`_cell_outcome`), and the
     table merges them in task order, alternative-major.
 
-    ``jobs`` is capped at the number of tasks. With ``jobs == 1`` the shared
-    pool runs in-process, on the calling thread like any other route. With
-    ``jobs > 1`` see :func:`_pooled_outcomes`: the shared pool runs in a
-    worker while the MME tasks, which never read it, run beside it.
+    ``jobs`` counts the processes that run cells, this one included, and
+    must be an integer of at least 1; it is capped at the number of tasks.
+    With ``jobs == 1`` every task and the shared pool run in process, on the
+    calling thread like any other route. With ``jobs > 1`` see
+    :func:`_pooled_outcomes`: ``jobs - 1`` workers run the MME tasks while
+    this process builds the shared pool, and then they and this process
+    share the tasks that are left.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
     if n is None:
         if len(config.sample_sizes) != 1:
             raise ValueError(
@@ -317,7 +342,8 @@ def run_power_table(config: StudyConfig, n: int | None = None,
 
 
 def run_power_study(config: StudyConfig, jobs: int = 1) -> list:
-    """One :class:`PowerTable` per configured sample size."""
+    """One :class:`PowerTable` per configured sample size, each run as
+    :func:`run_power_table` runs it on ``jobs`` processes."""
     return [run_power_table(config, n, jobs=jobs) for n in config.sample_sizes]
 
 

@@ -427,7 +427,7 @@ def test_cmd_power_reruns_are_byte_identical(tmp_path, capsys):
 
 
 def test_cmd_power_parallel_jobs_do_not_change_results(tmp_path, capsys):
-    # two alternatives, so that --jobs 2 starts a pool of two workers
+    # two alternatives, so that at --jobs 2 the parent and one worker share two cells
     csv = []
     for jobs in (["--jobs", "1"], ["--jobs", "2"], []):
         d = tmp_path / f"jobs{len(csv)}"

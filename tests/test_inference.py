@@ -858,7 +858,7 @@ def test_no_route_makes_a_thread_pool_in_process_or_in_power_workers(monkeypatch
         call()
         assert len(seen["spans"]) > 1
     # the warp-speed cells, and the MLE cells with their shared critical-value
-    # pool, in process and in two workers
+    # pool, in process and in the parent and one worker
     cfg = StudyConfig(
         sample_sizes=(20,), tests=(KS,), estimators=(MLE, MME), alternatives=(GAMMA12, NULL2),
         critical_reps=1000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
@@ -868,9 +868,9 @@ def test_no_route_makes_a_thread_pool_in_process_or_in_power_workers(monkeypatch
         assert table.notes == [] and len(table.cells) == 4
 
 
-def test_a_power_pool_parent_runs_no_route(monkeypatch):
-    # with jobs > 1 the critical-value pool is the process pool's first task,
-    # so the workers start from a parent that has run no route; a forked
+def test_power_workers_start_before_the_parent_runs_a_route(monkeypatch):
+    # with jobs > 1 the first submit starts the workers, and only then does
+    # the parent build the critical-value pool and run cells itself; a forked
     # worker appends to its own copy of the list, a spawned one has no spy
     calls = []
 
@@ -878,14 +878,24 @@ def test_a_power_pool_parent_runs_no_route(monkeypatch):
         calls.append((reps, n))
         return _ROW_BLOCKS(block, reps, n)
 
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            calls.append("submit")
+            return super().submit(fn, *args)
+
     monkeypatch.setattr(inference, "_row_blocks", spy)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = StudyConfig(
         sample_sizes=(20,), tests=(KS, MP2), estimators=(MLE, MME),
         alternatives=(GAMMA12, NULL2), critical_reps=1000, power_reps=1000,
         warp_reps=1000, desk_scale=1.0,
     )
     par = run_power_table(cfg, n=20, jobs=2)
-    assert calls == []
+    assert calls[0] == "submit"
+    routes = [call for call in calls if call != "submit"]
+    assert routes[0] == (1000, 20)  # the critical-value pool, in the parent
+    assert calls.count("submit") == 4 and len(routes) <= 5
+    calls.clear()
     seq = run_power_table(cfg, n=20, jobs=1)
     assert calls == [(1000, 20)] * 5  # the critical-value pool and four cells
     assert par.cells == seq.cells and par.notes == seq.notes == []

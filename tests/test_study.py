@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -201,10 +202,9 @@ def test_power_table_is_deterministic(small_table):
 _GRIDS = {"mle-only": (MLE,), "mme-only": (MME,), "both": (MME, MLE)}
 
 
-@pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
-def test_power_table_parallel_matches_sequential(estimators):
+def _two_alternative_grid(estimators):
     # ExpKS is not applicable on the moment route, so MME columns carry notes
-    cfg = StudyConfig(
+    return StudyConfig(
         sample_sizes=(20,),
         tests=(KS, MP2, EXP_KS),
         estimators=estimators,
@@ -212,16 +212,46 @@ def test_power_table_parallel_matches_sequential(estimators):
                       AlternativeSpec(Family.GAMMA, 1.2)),
         critical_reps=2000, power_reps=1000, warp_reps=1000, desk_scale=1.0,
     )
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
+def test_power_table_parallel_matches_sequential(estimators, jobs):
+    cfg = _two_alternative_grid(estimators)
     serial = run_power_table(cfg, n=20, jobs=1)
-    parallel = run_power_table(cfg, n=20, jobs=2)
+    parallel = run_power_table(cfg, n=20, jobs=jobs)
     assert len(serial.cells) == 2 * (3 * (MLE in estimators) + 2 * (MME in estimators))
     assert list(parallel.cells.items()) == list(serial.cells.items())
     assert parallel.notes == serial.notes
     assert len(serial.notes) == 2 * (MME in estimators)
 
 
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_power_table_is_the_same_on_every_start_method(method, monkeypatch):
+    # Python 3.14 starts pool workers by forkserver on Linux; spawn is the
+    # default elsewhere. Neither copies the parent, so the cells and the
+    # table reach the workers only as pickles
+    import concurrent.futures
+    import functools
+    import multiprocessing
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
+        concurrent.futures.ProcessPoolExecutor,
+        mp_context=multiprocessing.get_context(method)))
+    cfg = _two_alternative_grid((MME, MLE))
+    serial = run_power_table(cfg, n=20, jobs=1)
+    parallel = run_power_table(cfg, n=20, jobs=2)
+    assert len(serial.cells) == 10 and len(serial.notes) == 2
+    assert list(parallel.cells.items()) == list(serial.cells.items())
+    assert parallel.notes == serial.notes
+
+
 class _FakeFuture:
-    """A future that runs its call only when its result is read."""
+    """A future that runs its call only when its result is read.
+
+    A future the fake worker has taken is ``started``: it cannot be
+    cancelled, as a real one that a worker runs or the executor has queued.
+    """
 
     def __init__(self, log, label, fn, args):
         self.log, self.label, self.fn, self.args = log, label, fn, args
@@ -229,7 +259,7 @@ class _FakeFuture:
 
     def result(self):
         self.log.append(("result", self.label))
-        if self.state == "pending":
+        if self.state in ("pending", "started"):
             self.state = "done"
             try:
                 self.value = self.fn(*self.args)
@@ -242,14 +272,19 @@ class _FakeFuture:
     def cancel(self):
         if self.state == "pending":
             self.state = "cancelled"
+            self.log.append(("cancel", self.label))
         return self.state == "cancelled"
 
 
 class _FakeExecutor:
-    """Records what ``run_power_table`` submits and reads, and in what order."""
+    """Records what ``run_power_table`` submits, cancels and reads, and in
+    what order. Its workers take the first ``max_workers`` submitted cells."""
+
+    log: list = []
+    run_cell = None  # what each logged cell run calls
 
     def __init__(self, max_workers):
-        self.log, self.futures = [], []
+        self.max_workers, self.futures = max_workers, []
 
     def __enter__(self):
         _FakeExecutor.last = self
@@ -259,20 +294,40 @@ class _FakeExecutor:
         return False
 
     def submit(self, fn, *args):
-        if fn.__name__ == "_cell_outcome":  # (config, n_idx, alt_idx, est_idx, cv_table)
-            config, _, alt_idx, est_idx, table = args
-            label = (alt_idx, config.estimators[est_idx], table)
-        else:  # the shared critical-value pool
-            label = "pool"
+        assert fn.__name__ == "_cell_outcome"  # the parent builds the shared pool
+        label = _cell_label(*args)
         self.log.append(("submit", label))
         self.futures.append(_FakeFuture(self.log, label, fn, args))
+        if len(self.futures) <= self.max_workers:
+            self.futures[-1].state = "started"
         return self.futures[-1]
+
+
+def _cell_label(config, n_idx, alt_idx, est_idx, cv_table):
+    return alt_idx, config.estimators[est_idx], cv_table
 
 
 @pytest.fixture
 def fake_executor(monkeypatch):
+    # the log also records each cell run, and each shared pool built with its table
     import concurrent.futures
 
+    import paretogof.study as study
+
+    log, build_pool = [], study.null_critical_values
+
+    def logged_cell(*args):
+        log.append(("run", _cell_label(*args)))
+        return _FakeExecutor.run_cell(*args)
+
+    def logged_pool(*args):
+        log.append(("pool", build_pool(*args)))
+        return log[-1][1]
+
+    monkeypatch.setattr(_FakeExecutor, "run_cell", study._run_cell)
+    monkeypatch.setattr(study, "_run_cell", logged_cell)
+    monkeypatch.setattr(study, "null_critical_values", logged_pool)
+    monkeypatch.setattr(_FakeExecutor, "log", log)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakeExecutor)
     return _FakeExecutor
 
@@ -288,24 +343,34 @@ def _two_by_grid(estimators):
 @pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
 def test_power_table_runs_mme_cells_while_the_pool_is_built(fake_executor, estimators):
     cfg = _two_by_grid(estimators)
-    table, serial = run_power_table(cfg, n=20, jobs=2), run_power_table(cfg, n=20, jobs=1)
+    serial = run_power_table(cfg, n=20, jobs=1)
+    fake_executor.log.clear()
+    table = run_power_table(cfg, n=20, jobs=2)
     assert list(table.cells.items()) == list(serial.cells.items())
-    log = fake_executor.last.log
+    assert fake_executor.last.max_workers == 1
+    log = fake_executor.log
     submits = [label for event, label in log if event == "submit"]
-    if MLE not in estimators:
-        assert "pool" not in submits
-        assert all(cv is None for *_, cv in submits)
-        return
-    assert submits[0] == "pool"
-    awaited = log.index(("result", "pool"))
-    cv_table = fake_executor.last.futures[0].value
+    assert len(submits) == 2 * len(estimators)
+    built = [(i, cv_table) for i, (event, cv_table) in enumerate(log) if event == "pool"]
+    assert len(built) == (MLE in estimators)
     for i, (event, label) in enumerate(log):
-        if event == "submit" and label != "pool":
-            _, estimator, table_arg = label
-            # MME cells before the pool's table is read, and without it
-            assert (i < awaited) == (estimator is MME)
-            assert table_arg is (cv_table if estimator is MLE else None)
-    assert len(submits) == 1 + 2 * len(estimators)
+        if event == "submit":
+            # MME cells before the parent builds the pool, and without its
+            # table; MLE cells after, with it
+            _, estimator, cv_table = label
+            assert (estimator is MLE) == (bool(built) and i > built[0][0])
+            assert cv_table is (built[0][1] if estimator is MLE else None)
+    # the worker took the first cell; the parent cancelled every other, the
+    # MME cells and then the MLE cells, each from the back of the queue, and
+    # ran each as it cancelled it
+    cancelled = [(i, label) for i, (event, label) in enumerate(log) if event == "cancel"]
+    assert [label for _, label in cancelled] == [
+        label for est in (MME, MLE) for label in reversed(submits[1:]) if label[1] is est]
+    assert all(log[i + 1] == ("run", label) for i, label in cancelled)
+    runs = [label for event, label in log if event == "run"]
+    assert sorted(map(str, runs)) == sorted(map(str, submits))  # each cell ran once
+    assert [f.state for f in fake_executor.last.futures] == ["done"] + ["cancelled"] * (
+        len(submits) - 1)
 
 
 def _failing_cell(failing):
@@ -316,19 +381,39 @@ def _failing_cell(failing):
     return run_cell
 
 
-def test_pooled_cell_errors_raise_in_task_order_and_cancel_the_rest(
-        fake_executor, monkeypatch):
-    import paretogof.study as study
+# tasks in task order: (0, MME), (0, MLE), (1, MME), (1, MLE). They are
+# queued MME first, (0, MME), (1, MME), (0, MLE), (1, MLE), and the worker
+# takes (0, MME). The parent runs (1, MME), then (1, MLE) and (0, MLE), and
+# stops at the first that fails
+_CELL_ERRORS = {
+    # the parent's (1, MLE) fails first, but the worker's (0, MME) comes
+    # first in task order
+    "first-in-a-worker": ({(0, 0), (1, 1)}, "cell 0 0",
+                          {(0, MME): "raised", (0, MLE): "cancelled",
+                           (1, MME): "ran here", (1, MLE): "ran here"}),
+    # the parent's (1, MME) fails, and the worker then runs (0, MLE), which
+    # comes first in task order but does not fail; (1, MLE) would fail too,
+    # but it never starts
+    "first-in-the-parent": ({(1, 0), (1, 1)}, "cell 1 0",
+                            {(0, MME): "done", (0, MLE): "done",
+                             (1, MME): "ran here", (1, MLE): "cancelled"}),
+}
 
-    # tasks in order: (0, MME), (0, MLE), (1, MME), (1, MLE). (1, MME) is
-    # submitted before (0, MLE), but (0, MLE) comes first in task order
-    monkeypatch.setattr(study, "_run_cell", _failing_cell({(0, 1), (1, 0)}))
-    with pytest.raises(RuntimeError, match="cell 0 1"):
+
+@pytest.mark.parametrize("failing, message, states", _CELL_ERRORS.values(),
+                         ids=_CELL_ERRORS.keys())
+def test_pooled_cell_errors_raise_in_task_order_and_cancel_the_rest(
+        fake_executor, monkeypatch, failing, message, states):
+    monkeypatch.setattr(fake_executor, "run_cell", _failing_cell(failing))
+    with pytest.raises(RuntimeError, match=message):
         run_power_table(_two_by_grid((MME, MLE)), n=20, jobs=2)
-    states = {f.label if f.label == "pool" else f.label[:2]: f.state
-              for f in fake_executor.last.futures}
-    assert states == {"pool": "done", (0, MME): "done", (0, MLE): "raised",
-                      (1, MME): "cancelled", (1, MLE): "cancelled"}
+    # a cell the parent ran is cancelled in the executor, and the cancel is
+    # followed by its run; a cell cancelled without a run never started
+    log = fake_executor.log
+    ran_here = {log[i][1][:2] for i in range(len(log) - 1)
+                if log[i][0] == "cancel" and log[i + 1][0] == "run"}
+    assert {f.label[:2]: "ran here" if f.label[:2] in ran_here else f.state
+            for f in fake_executor.last.futures} == states
 
 
 def test_pooled_pool_error_raises_first_and_cancels_every_cell(
@@ -339,26 +424,49 @@ def test_pooled_pool_error_raises_first_and_cancels_every_cell(
         raise RuntimeError("pool")
 
     monkeypatch.setattr(study, "null_critical_values", broken_pool)
-    monkeypatch.setattr(study, "_run_cell", _failing_cell({(0, 0)}))
+    monkeypatch.setattr(fake_executor, "run_cell", _failing_cell({(0, 0)}))
     with pytest.raises(RuntimeError, match="pool"):
         run_power_table(_two_by_grid((MME, MLE)), n=20, jobs=2)
     futures = fake_executor.last.futures
-    assert [f.label[:2] for f in futures[1:]] == [(0, MME), (1, MME)]  # no MLE cell
-    assert [f.state for f in futures] == ["raised", "cancelled", "cancelled"]
+    assert [f.label[:2] for f in futures] == [(0, MME), (1, MME)]  # no MLE cell
+    # the worker's cell is never read, and the parent runs no cell
+    assert [f.state for f in futures] == ["started", "cancelled"]
+    assert not any(event == "run" for event, _ in fake_executor.log)
 
 
 def test_power_table_starts_no_more_workers_than_tasks(monkeypatch):
-    # one alternative and one estimator: one task, so no pool at any job count
+    # jobs counts the parent: two tasks at jobs=4 start one worker, and one
+    # task starts no pool at any job count
     import concurrent.futures
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started for a single task")
+    started = []
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    cfg = StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=(MME,),
+    def record(max_workers):
+        started.append(max_workers)
+        return concurrent.futures.ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
+    two = StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=(MME,),
+                      alternatives=(AlternativeSpec(Family.PARETO, 2.0),
+                                    AlternativeSpec(Family.GAMMA, 1.2)),
+                      warp_reps=1000, desk_scale=1.0)
+    assert len(run_power_table(two, n=20, jobs=4).cells) == 2
+    assert started == [1]
+    one = StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=(MME,),
                       alternatives=(AlternativeSpec(Family.PARETO, 2.0),),
                       warp_reps=1000, desk_scale=1.0)
-    assert len(run_power_table(cfg, n=20, jobs=4).cells) == 1
+    assert len(run_power_table(one, n=20, jobs=4).cells) == 1
+    assert started == [1]
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.0, 2.5, "2", True, None], ids=repr)
+def test_power_runs_refuse_a_job_count_that_is_not_a_positive_integer(jobs):
+    cfg = _two_by_grid((MME,))
+    for run in (lambda: run_power_table(cfg, n=20, jobs=jobs),
+                lambda: run_power_study(cfg, jobs=jobs)):
+        with pytest.raises(ValueError, match=f"jobs must be an integer of at least 1, "
+                                             f"got {re.escape(repr(jobs))}"):
+            run()
 
 
 def test_failed_cells_become_notes_at_every_job_count():
