@@ -286,7 +286,7 @@ def cmd_power(args) -> int:
     file_estimators = pick(None, "estimators", _parse_estimators)  # a list per token
     fields = {
         "sample_sizes": pick(args.n, "sample_sizes", int),
-        "alpha": pick(args.alpha, "alpha", float, one=True),
+        "alpha": pick(args.alpha, "alpha", _level, one=True),
         "estimators": args.estimator or (file_estimators and sum(file_estimators, [])),
         "alternatives": pick(args.alternatives, "alternatives", _parse_alternative),
         "desk_scale": 1.0 if args.full else pick(args.scale_factor, "desk_scale", float,
@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pow = sub.add_parser("power", help="run a power study")
     p_pow.add_argument("--n", type=int, nargs="+", default=None)
-    p_pow.add_argument("--alpha", type=float, default=None)
+    p_pow.add_argument("--alpha", type=_level, default=None)
     p_pow.add_argument("--estimator", type=_parse_estimators, default=None)
     p_pow.add_argument("--alternatives", nargs="+", type=_parse_alternative, default=None,
                        metavar="FAMILY:THETA",

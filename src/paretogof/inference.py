@@ -39,9 +39,10 @@ number equals a whole-block run.
 
 Every route runs its chunks one after another on the calling thread, which
 writes their columns in row order, so a process runs its routes on one
-thread. ``power --jobs`` runs its cells on the calling process and worker
-processes, each of which runs its routes the same way, so every column is
-the same, bit for bit, at any CPU count and any job count.
+thread. ``power --jobs`` builds its critical-value pool on the calling
+process and then runs its cells there and on worker processes, each of
+which runs its routes the same way, so every column is the same, bit for
+bit, at any CPU count and any job count.
 
 No row is ever redrawn because its shape estimate is degenerate. A
 non-finite or non-positive estimate reaches the check of whatever consumes

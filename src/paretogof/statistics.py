@@ -400,7 +400,7 @@ def _evaluate(kinds, x: np.ndarray, beta):
     if any(k.tag in (TestTag.MP2, TestTag.MELLIN_G) for k in kinds):
         lx = np.log(x.T, order="C").T if n <= _CLOSED_MAX_N else np.log(x)
     j = np.arange(1, n + 1, dtype=np.float64)
-    w = 2.0 * (n - j) + 1.0
+    w = order_weights(n)
     for k in kinds:
         if k.tag is TestTag.MP1:
             out[k] = _mp1_rows(x, xs, b[:, None], w, n)

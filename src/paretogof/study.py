@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -228,55 +229,39 @@ def _cell_outcome(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
              for kind in config.tests if kind not in result])
 
 
-def _pooled_outcomes(config: StudyConfig, n_idx: int, tasks: list, cv_args,
-                     jobs: int) -> list:
-    """:func:`_cell_outcome` of every ``(alt_idx, est_idx)`` task on this
-    process and ``jobs - 1`` worker processes, in task order.
+def _cell_outcomes(config: StudyConfig, n_idx: int, tasks: list,
+                   cv_table: CriticalValueTable | None, jobs: int) -> list:
+    """:func:`_cell_outcome` of every ``(alt_idx, est_idx)`` task, in task
+    order, on this process and ``jobs - 1`` worker processes.
 
-    Every MME task is submitted first, with no table, since it never reads
-    one. The first submit starts the workers, so on a grid with MME tasks
-    they fork before this process runs any route of the table. This process
-    then builds the shared critical-value pool (``cv_args``, or None without
-    MLE columns) itself and submits the MLE tasks with its table. Last, it
-    runs tasks itself, the MME tasks and then the MLE tasks, each group from
-    the back of the queue: it cancels each task before it runs it, and
-    leaves a group at the first task that a worker has started or that the
-    executor has queued for one. The short MLE tasks thus come last on both
-    sides, so this process does not sit idle while a worker finishes a long
-    MME task. An exception of the pool is raised first, then that of the
-    first failing task in task order, whichever process ran it; this process
-    runs no task after one fails, and every task that has not started is
-    cancelled, as ``Executor.map`` does.
+    Every task is queued in task order, on a process pool when ``jobs > 1``
+    and as a plain future otherwise. This process then walks the queue front
+    to back and runs, in process, each task whose future it can still cancel,
+    that is one no worker has started or been handed; it runs no task after
+    one fails. The error raised is that of the first failing task in task
+    order, whichever process ran it, and every task that has not started is
+    cancelled, as ``Executor.map`` does. One job count thus differs from
+    another only in which process runs a task.
     """
-    # kept out of the CLI's start-up
-    from concurrent.futures import Future, ProcessPoolExecutor
+    import concurrent.futures  # kept out of the CLI's start-up
 
-    groups: tuple = ([], [])  # the MME tasks, then the MLE tasks
-    for i, (_, est_idx) in enumerate(tasks):
-        groups[config.estimators[est_idx] is EstimatorMethod.MLE].append(i)
-    calls: dict = {}
-    futures: dict = {}
-    with ProcessPoolExecutor(max_workers=jobs - 1) as pool:
+    calls = [(config, n_idx, *task, cv_table) for task in tasks]
+    with (concurrent.futures.ProcessPoolExecutor(max_workers=jobs - 1) if jobs > 1
+          else nullcontext()) as pool:
+        futures = [pool.submit(_cell_outcome, *call) if pool else concurrent.futures.Future()
+                   for call in calls]
         try:
-            for mle, group in enumerate(groups):
-                cv_table = null_critical_values(*cv_args) if mle and group else None
-                for i in group:
-                    calls[i] = (config, n_idx, *tasks[i], cv_table)
-                    futures[i] = pool.submit(_cell_outcome, *calls[i])
-            failed = False
-            for group in groups:
-                for i in reversed(group):
-                    if failed or not futures[i].cancel():
-                        break
-                    futures[i] = Future()
+            for i, call in enumerate(calls):
+                if futures[i].cancel():
+                    futures[i] = concurrent.futures.Future()
                     try:
-                        futures[i].set_result(_cell_outcome(*calls[i]))
+                        futures[i].set_result(_cell_outcome(*call))
                     except Exception as exc:  # raised in task order below
                         futures[i].set_exception(exc)
-                        failed = True
-            return [futures[i].result() for i in range(len(tasks))]
+                        break
+            return [future.result() for future in futures]
         finally:
-            for future in futures.values():
+            for future in futures:
                 future.cancel()
 
 
@@ -293,11 +278,10 @@ def run_power_table(config: StudyConfig, n: int | None = None,
 
     ``jobs`` counts the processes that run cells, this one included, and
     must be an integer of at least 1; it is capped at the number of tasks.
-    With ``jobs == 1`` every task and the shared pool run in process, on the
-    calling thread like any other route. With ``jobs > 1`` see
-    :func:`_pooled_outcomes`: ``jobs - 1`` workers run the MME tasks while
-    this process builds the shared pool, and then they and this process
-    share the tasks that are left.
+    At every job count this process first builds the shared pool, on the
+    calling thread like any other route, and then runs the tasks with
+    ``jobs - 1`` workers (see :func:`_cell_outcomes`); a failing pool thus
+    raises before any task starts.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an integer of at least 1, got {jobs!r}")
@@ -313,16 +297,12 @@ def run_power_table(config: StudyConfig, n: int | None = None,
 
     start = time.perf_counter()
     tasks = list(product(range(len(config.alternatives)), range(len(config.estimators))))
-    cv_args = None
+    cv_table = None
     if EstimatorMethod.MLE in config.estimators:
-        cv_args = (config.tests, n, [config.alpha], config.scaled_reps("critical"),
-                   _cv_stream(config, n_idx))
-    jobs = min(jobs, len(tasks))
-    if jobs > 1:
-        outcomes = _pooled_outcomes(config, n_idx, tasks, cv_args, jobs)
-    else:
-        cv_table = null_critical_values(*cv_args) if cv_args else None
-        outcomes = (_cell_outcome(config, n_idx, *task, cv_table) for task in tasks)
+        cv_table = null_critical_values(config.tests, n, [config.alpha],
+                                        config.scaled_reps("critical"),
+                                        _cv_stream(config, n_idx))
+    outcomes = _cell_outcomes(config, n_idx, tasks, cv_table, min(jobs, len(tasks)))
     cells: dict = {}
     notes: list = []
     for part, part_notes in outcomes:

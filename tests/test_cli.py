@@ -246,7 +246,8 @@ def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
      "--alternatives"),
     (["test", "data.txt", "--tests", "g", "--tuning-a", "0"],
      "tuning constant must be positive", "--tuning-a"),
-], ids=["gamma", "expmix", "gamma-x", "tuning-a"])
+    (["power", "--alpha", "2"], "alpha must lie in (0, 1]", "--alpha"),
+], ids=["gamma", "expmix", "gamma-x", "tuning-a", "power-alpha"])
 def test_option_values_outside_their_domain_are_usage_errors(argv, message, option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -289,10 +290,10 @@ def test_config_values_go_through_the_option_parsers(tmp_path, capsys):
 # too, rather than dropped
 @pytest.mark.parametrize("key, value", [
     ("sample_sizes", "x"), ("sample_sizes", [10.5]), ("estimators", ["map"]),
-    ("alpha", "high"), ("alpha", [0.05]), ("desk_scale", None),
+    ("alpha", "high"), ("alpha", [0.05]), ("alpha", 2), ("desk_scale", None),
     ("critical_reps", 200_000), ("power_reps", 20_000), ("warp_reps", 30_000),
     ("master_seed", 7), ("bogus", 1),
-], ids=["sample_sizes-x", "sample_sizes-10.5", "estimators-map", "alpha-high", "alpha-list",
+], ids=["sample_sizes-x", "sample_sizes-10.5", "estimators-map", "alpha-high", "alpha-list", "alpha-2",
         "desk_scale-null", "critical_reps", "power_reps", "warp_reps", "master_seed",
         "bogus"])
 def test_config_values_their_option_rejects_exit_three(key, value, tmp_path, capsys):
@@ -356,10 +357,12 @@ def test_power_refuses_a_repeated_sample_size(tmp_path, capsys):
 
 
 def test_invalid_study_grid_is_a_usage_error(capsys):
-    code = main(["power", "--alpha", "2.0", "--n", "10",
+    # each option is in its domain, but the grid they make is not
+    code = main(["power", "--n", "10",
                  "--alternatives", "pareto:2", "--tests", "ks",
-                 "--scale-factor", "0.1", "--seed", "1"])
+                 "--scale-factor", "0.001", "--seed", "1"])
     assert code == 2
+    assert "replications fall below 1000 after desk scaling" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -868,10 +868,10 @@ def test_no_route_makes_a_thread_pool_in_process_or_in_power_workers(monkeypatch
         assert table.notes == [] and len(table.cells) == 4
 
 
-def test_power_workers_start_before_the_parent_runs_a_route(monkeypatch):
-    # with jobs > 1 the first submit starts the workers, and only then does
-    # the parent build the critical-value pool and run cells itself; a forked
-    # worker appends to its own copy of the list, a spawned one has no spy
+def test_the_parent_builds_the_pool_before_the_workers_start(monkeypatch):
+    # with jobs > 1 the parent builds the critical-value pool, and only then
+    # does the first submit start the workers; a forked worker appends to its
+    # own copy of the list, a spawned one has no spy
     calls = []
 
     def spy(block, reps, n):
@@ -891,9 +891,8 @@ def test_power_workers_start_before_the_parent_runs_a_route(monkeypatch):
         warp_reps=1000, desk_scale=1.0,
     )
     par = run_power_table(cfg, n=20, jobs=2)
-    assert calls[0] == "submit"
+    assert calls[:2] == [(1000, 20), "submit"]  # the critical-value pool, in the parent
     routes = [call for call in calls if call != "submit"]
-    assert routes[0] == (1000, 20)  # the critical-value pool, in the parent
     assert calls.count("submit") == 4 and len(routes) <= 5
     calls.clear()
     seq = run_power_table(cfg, n=20, jobs=1)

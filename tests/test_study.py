@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -328,6 +329,7 @@ def fake_executor(monkeypatch):
     monkeypatch.setattr(study, "_run_cell", logged_cell)
     monkeypatch.setattr(study, "null_critical_values", logged_pool)
     monkeypatch.setattr(_FakeExecutor, "log", log)
+    monkeypatch.setattr(_FakeExecutor, "last", None, raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakeExecutor)
     return _FakeExecutor
 
@@ -341,7 +343,7 @@ def _two_by_grid(estimators):
 
 
 @pytest.mark.parametrize("estimators", _GRIDS.values(), ids=_GRIDS.keys())
-def test_power_table_runs_mme_cells_while_the_pool_is_built(fake_executor, estimators):
+def test_power_table_builds_the_pool_before_it_queues_a_cell(fake_executor, estimators):
     cfg = _two_by_grid(estimators)
     serial = run_power_table(cfg, n=20, jobs=1)
     fake_executor.log.clear()
@@ -349,23 +351,19 @@ def test_power_table_runs_mme_cells_while_the_pool_is_built(fake_executor, estim
     assert list(table.cells.items()) == list(serial.cells.items())
     assert fake_executor.last.max_workers == 1
     log = fake_executor.log
-    submits = [label for event, label in log if event == "submit"]
-    assert len(submits) == 2 * len(estimators)
-    built = [(i, cv_table) for i, (event, cv_table) in enumerate(log) if event == "pool"]
+    built = [cv_table for event, cv_table in log if event == "pool"]
     assert len(built) == (MLE in estimators)
-    for i, (event, label) in enumerate(log):
-        if event == "submit":
-            # MME cells before the parent builds the pool, and without its
-            # table; MLE cells after, with it
-            _, estimator, cv_table = label
-            assert (estimator is MLE) == (bool(built) and i > built[0][0])
-            assert cv_table is (built[0][1] if estimator is MLE else None)
-    # the worker took the first cell; the parent cancelled every other, the
-    # MME cells and then the MLE cells, each from the back of the queue, and
-    # ran each as it cancelled it
+    # the parent builds the pool before the first submit, and then queues
+    # every cell in task order, each with the pool's table
+    first_submit = [event for event, _ in log].index("submit")
+    assert all(event != "pool" for event, _ in log[first_submit:])
+    submits = [label for event, label in log if event == "submit"]
+    assert submits == [(alt_idx, estimator, built[0] if built else None)
+                       for alt_idx in range(2) for estimator in estimators]
+    # the worker took the first cell; the parent cancelled every other, front
+    # to back, and ran each as it cancelled it
     cancelled = [(i, label) for i, (event, label) in enumerate(log) if event == "cancel"]
-    assert [label for _, label in cancelled] == [
-        label for est in (MME, MLE) for label in reversed(submits[1:]) if label[1] is est]
+    assert [label for _, label in cancelled] == submits[1:]
     assert all(log[i + 1] == ("run", label) for i, label in cancelled)
     runs = [label for event, label in log if event == "run"]
     assert sorted(map(str, runs)) == sorted(map(str, submits))  # each cell ran once
@@ -382,21 +380,20 @@ def _failing_cell(failing):
 
 
 # tasks in task order: (0, MME), (0, MLE), (1, MME), (1, MLE). They are
-# queued MME first, (0, MME), (1, MME), (0, MLE), (1, MLE), and the worker
-# takes (0, MME). The parent runs (1, MME), then (1, MLE) and (0, MLE), and
-# stops at the first that fails
+# queued in that order and the worker takes (0, MME). The parent runs
+# (0, MLE), (1, MME) and (1, MLE), and stops at the first that fails
 _CELL_ERRORS = {
     # the parent's (1, MLE) fails first, but the worker's (0, MME) comes
     # first in task order
     "first-in-a-worker": ({(0, 0), (1, 1)}, "cell 0 0",
-                          {(0, MME): "raised", (0, MLE): "cancelled",
+                          {(0, MME): "raised", (0, MLE): "ran here",
                            (1, MME): "ran here", (1, MLE): "ran here"}),
-    # the parent's (1, MME) fails, and the worker then runs (0, MLE), which
-    # comes first in task order but does not fail; (1, MLE) would fail too,
-    # but it never starts
-    "first-in-the-parent": ({(1, 0), (1, 1)}, "cell 1 0",
-                            {(0, MME): "done", (0, MLE): "done",
-                             (1, MME): "ran here", (1, MLE): "cancelled"}),
+    # the parent's (0, MLE) fails, and the worker's (0, MME), which comes
+    # first in task order, does not; (1, MLE) would fail too, but it never
+    # starts
+    "first-in-the-parent": ({(0, 1), (1, 1)}, "cell 0 1",
+                            {(0, MME): "done", (0, MLE): "ran here",
+                             (1, MME): "cancelled", (1, MLE): "cancelled"}),
 }
 
 
@@ -416,8 +413,7 @@ def test_pooled_cell_errors_raise_in_task_order_and_cancel_the_rest(
             for f in fake_executor.last.futures} == states
 
 
-def test_pooled_pool_error_raises_first_and_cancels_every_cell(
-        fake_executor, monkeypatch):
+def test_pooled_pool_error_raises_before_any_cell_is_queued(fake_executor, monkeypatch):
     import paretogof.study as study
 
     def broken_pool(*args):
@@ -427,16 +423,44 @@ def test_pooled_pool_error_raises_first_and_cancels_every_cell(
     monkeypatch.setattr(fake_executor, "run_cell", _failing_cell({(0, 0)}))
     with pytest.raises(RuntimeError, match="pool"):
         run_power_table(_two_by_grid((MME, MLE)), n=20, jobs=2)
-    futures = fake_executor.last.futures
-    assert [f.label[:2] for f in futures] == [(0, MME), (1, MME)]  # no MLE cell
-    # the worker's cell is never read, and the parent runs no cell
-    assert [f.state for f in futures] == ["started", "cancelled"]
-    assert not any(event == "run" for event, _ in fake_executor.log)
+    # no executor was made, so no cell was submitted, and the parent ran none
+    assert fake_executor.last is None
+    assert fake_executor.log == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers see the patched module only as a forked copy")
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_one_error_rule_at_every_job_count(jobs, monkeypatch, tmp_path):
+    # real workers, forked after the patch: (0, MLE) and (1, MME) fail, and
+    # whichever process runs which cell, the lower task index is raised
+    import paretogof.study as study
+
+    cfg = _two_by_grid((MME, MLE))
+    monkeypatch.setattr(study, "_run_cell", _failing_cell({(0, 1), (1, 0)}))
+    with pytest.raises(RuntimeError, match="^cell 0 1$"):
+        run_power_table(cfg, n=20, jobs=jobs)
+
+    # a failing pool raises before any cell starts, in any process
+    started = tmp_path / "started"
+
+    def marked_cell(*args):
+        started.touch()
+        return {}
+
+    def broken_pool(*args):
+        raise RuntimeError("pool")
+
+    monkeypatch.setattr(study, "_run_cell", marked_cell)
+    monkeypatch.setattr(study, "null_critical_values", broken_pool)
+    with pytest.raises(RuntimeError, match="^pool$"):
+        run_power_table(cfg, n=20, jobs=jobs)
+    assert not started.exists()
 
 
 def test_power_table_starts_no_more_workers_than_tasks(monkeypatch):
     # jobs counts the parent: two tasks at jobs=4 start one worker, and one
-    # task starts no pool at any job count
+    # job or one task starts no pool
     import concurrent.futures
 
     started = []
@@ -450,6 +474,8 @@ def test_power_table_starts_no_more_workers_than_tasks(monkeypatch):
                       alternatives=(AlternativeSpec(Family.PARETO, 2.0),
                                     AlternativeSpec(Family.GAMMA, 1.2)),
                       warp_reps=1000, desk_scale=1.0)
+    assert len(run_power_table(two, n=20, jobs=1).cells) == 2
+    assert started == []
     assert len(run_power_table(two, n=20, jobs=4).cells) == 2
     assert started == [1]
     one = StudyConfig(sample_sizes=(20,), tests=(KS,), estimators=(MME,),
