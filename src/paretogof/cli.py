@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--estimator", type=_parse_estimators, default=[EstimatorMethod.MME],
                         help="mme (default), mle or both")
     p_test.add_argument("--alpha", type=_level, default=0.05)
-    p_test.add_argument("--b", type=int, default=10_000, help="bootstrap replications")
+    p_test.add_argument("--b", type=_positive_int, default=10_000, help="bootstrap replications")
     p_test.add_argument("--scale", type=float, default=1.0,
                         help="divide observations by this before testing")
     p_test.add_argument("--output", default=None, help="also write the report to this file")
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_golf.add_argument("--tour", choices=("pga", "liv", "both"), default="both")
     p_golf.add_argument("--estimator", type=_parse_estimators,
                         default=[EstimatorMethod.MME, EstimatorMethod.MLE])
-    p_golf.add_argument("--b", type=int, default=10_000)
+    p_golf.add_argument("--b", type=_positive_int, default=10_000)
     _add_common(p_golf, ["pareto"])
     p_golf.set_defaults(func=cmd_golf)
 

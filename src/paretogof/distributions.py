@@ -94,8 +94,6 @@ class RandomStream:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
-# kernel budget, in 64-bit words per pass over a block of rows
-_PHILOX_BLOCK = 1 << 16
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
@@ -122,33 +120,27 @@ def _philox_uniforms(seed: int, ids: np.ndarray, n: int) -> np.ndarray:
 
     ``ids`` is a uint64 array. Each row is keyed by the words
     ``(ids[i], seed)``; its block counters run 1..ceil(n/4), and each
-    64-bit output word becomes the double ``(word >> 11) * 2**-53``. Rows are
-    drawn in passes of ``_PHILOX_BLOCK // n`` rows but at least one, the rule
-    by which the inference routes chunk their rows, so a route's chunk is one
-    pass. For n within the budget a pass holds at most ``1 + 3/n`` times the
-    budget in words.
+    64-bit output word becomes the double ``(word >> 11) * 2**-53``. Every
+    row is drawn in one pass, so the caller bounds the block: the inference
+    routes pass at most one chunk of :func:`~paretogof.inference._row_blocks`.
     """
     blocks = -(-n // 4)
     out = np.empty((ids.size, n), dtype=np.float64)
     ctr = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
     zero = np.zeros((1, 1), dtype=np.uint64)
-    per_pass = max(1, _PHILOX_BLOCK // n)
-    for lo in range(0, ids.size, per_pass):
-        k0, k1 = ids[lo:lo + per_pass, None], seed
-        # broadcasting keeps the first two rounds at (rows + blocks) words
-        c0, c1, c2, c3 = ctr, zero, zero, zero
-        for i in range(_PHILOX_ROUNDS):
-            if i:
-                k0 = k0 + np.uint64(_PHILOX_W[0])
-                k1 = (k1 + _PHILOX_W[1]) & _MASK64
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-        words = np.empty((k0.shape[0], blocks, 4), dtype=np.uint64)
-        for j, c in enumerate((c0, c1, c2, c3)):
-            words[:, :, j] = c
-        words = words.reshape(k0.shape[0], 4 * blocks)[:, :n] >> np.uint64(11)
-        np.multiply(words, 2.0 ** -53, out=out[lo:lo + per_pass])
+    k0, k1 = ids[:, None], seed
+    # broadcasting keeps the first two rounds at (rows + blocks) words
+    c0, c1, c2, c3 = ctr, zero, zero, zero
+    for i in range(_PHILOX_ROUNDS):
+        if i:
+            k0 = k0 + np.uint64(_PHILOX_W[0])
+            k1 = (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(ids.size, 4 * blocks)
+    words = words[:, :n] >> np.uint64(11)
+    np.multiply(words, 2.0 ** -53, out=out)
     return out
 
 
@@ -573,7 +565,12 @@ def pareto_sample(beta: float, n: int, stream: RandomStream) -> Sample:
 
 def pareto_rows(beta: float, n: int, reps: int, stream: RandomStream,
                 offset: int = 0, step: int = 1) -> np.ndarray:
-    """(reps, n) matrix of null samples; row r uses substream offset + step*r."""
+    """(reps, n) matrix of null samples; row r uses substream offset + step*r.
+
+    One call draws all its rows at once, so the inference routes bound the
+    memory it takes by calling it per chunk of
+    :func:`~paretogof.inference._row_blocks`.
+    """
     beta = _check_beta(float(beta))
     return _fill_rows(n, reps, stream, offset, step, _Quantile(_pareto_quantile, beta))
 

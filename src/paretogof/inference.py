@@ -31,11 +31,11 @@ Every route decides in one step, :func:`_decide`: pivotal statistics on the
 MLE route, plug-in ones on the MME route, each bootstrap resample refitted
 with the data's estimator. The null, fixed-critical-value and bootstrap
 routes are each one pool of decided rows, :func:`_pool`; warp speed decides
-twice per chunk. A chunk holds ``max(1, 2**16 // n)`` rows, one pass of
-the Philox kernel, and draws its rows' own substreams; every row-wise power
-is evaluated the same way in a block of any size. Only the statistic
-columns, joined in row order, grow with the replication count, and every
-number equals a whole-block run.
+twice per chunk. :func:`_row_blocks` alone sizes a chunk, ``max(1, 2**16 //
+n)`` rows, which the Philox kernel draws in one pass, each row from its own
+substream; every row-wise power is evaluated the same way in a block of any
+size. Only the statistic columns, joined in row order, grow with the
+replication count, and every number equals a whole-block run.
 
 Every route runs its chunks one after another on the calling thread, which
 writes their columns in row order, so a process runs its routes on one
@@ -64,7 +64,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .distributions import (
-    _PHILOX_BLOCK,
     DomainError,
     RandomStream,
     _as_sample,
@@ -97,6 +96,8 @@ __all__ = [
 _TABLE_FORMAT = "paretogof-critical-values v1"
 _TABLE_COLUMNS = ["kind", "estimator", "n", "alpha", "reps", "seed", "value"]
 DEFAULT_ALPHAS = (0.01, 0.05, 0.10)
+# float64 words per chunk of rows, one pass of the Philox kernel
+_PHILOX_BLOCK = 1 << 16
 _CHUNK_ARRAYS = 8 * _PHILOX_BLOCK * 8  # bytes of 8 arrays of 2**16 float64 words: 4 MiB
 
 
@@ -140,8 +141,10 @@ def _keep_chunk_heap() -> None:
     """Keep the heap a route's chunks free for the next chunk (glibc only).
 
     A chunk holds arrays of up to ``_PHILOX_BLOCK`` float64 words, 512 KiB
-    each. glibc's default policy returns the freed top of the heap to the
-    system after each chunk, so the next chunk faults its pages in again.
+    each; the Philox kernel rounds each row up to a multiple of four words,
+    so its arrays hold at most four times that, at n = 1. glibc's default
+    policy returns the freed top of the heap to the system after each chunk,
+    so the next chunk faults its pages in again.
     :func:`_row_blocks` calls this the first time a route runs more than one
     chunk, and the cache makes that once per process. The setting is
     process-wide, and bounded: arrays below 4 MiB, 8 such chunk arrays, come
@@ -171,8 +174,9 @@ def _row_blocks(block, reps: int, n: int) -> tuple:
     estimator and kernel is row-independent, so the columns equal one
     whole-block evaluation however the rows are chunked.
 
-    The chunks hold ``_PHILOX_BLOCK // n`` rows but at least one, one pass of
-    the Philox kernel, the last chunk holding what is left. They run one
+    The chunks hold ``_PHILOX_BLOCK // n`` rows but at least one, the last
+    chunk holding what is left. This is the one place that sizes a chunk,
+    and the Philox kernel draws each chunk in one pass. The chunks run one
     after another on the calling thread, which writes each chunk's columns
     into their row range as it returns, so the first error in row order is
     raised and no later chunk starts.

@@ -471,34 +471,31 @@ def statistic_rows(kinds, x: np.ndarray, beta=None) -> dict:
 
 def _single(kinds, sample, beta: float) -> list:
     """Evaluate ``kinds`` on one sample as a one-row batch at shape ``beta``."""
+    sample, beta = _as_sample(sample), float(beta)
     values, clamped = _evaluate(kinds, sample.values[None, :], beta)
     return [StatisticValue(k, float(v[0]), sample.n, beta,
                            bool(clamped[k][0]) if k in clamped else False)
             for k, v in values.items()]
 
 
-def _single_pareto(kind: TestKind, sample, beta: float) -> StatisticValue:
-    return _single([kind], _as_sample(sample), float(beta))[0]
-
-
 def ks(sample, beta: float) -> StatisticValue:
     """Kolmogorov-Smirnov sup-distance between the empirical and model CDFs."""
-    return _single_pareto(KS, sample, beta)
+    return _single([KS], sample, beta)[0]
 
 
 def cv(sample, beta: float) -> StatisticValue:
     """Cramér-von Mises integrated squared CDF discrepancy."""
-    return _single_pareto(CV, sample, beta)
+    return _single([CV], sample, beta)[0]
 
 
 def ad(sample, beta: float) -> StatisticValue:
     """Anderson-Darling tail-weighted CDF discrepancy."""
-    return _single_pareto(AD, sample, beta)
+    return _single([AD], sample, beta)[0]
 
 
 def za(sample, beta: float) -> StatisticValue:
     """Likelihood-ratio EDF statistic with 1/(j - 1/2) spacings."""
-    return _single_pareto(ZA, sample, beta)
+    return _single([ZA], sample, beta)[0]
 
 
 def mp1(sample, beta: float) -> StatisticValue:
@@ -513,7 +510,7 @@ def mp1(sample, beta: float) -> StatisticValue:
 
     with the rank weights w_j of :func:`order_weights`.
     """
-    return _single_pareto(MP1, sample, beta)
+    return _single([MP1], sample, beta)[0]
 
 
 def mp2(sample, beta: float) -> StatisticValue:
@@ -523,7 +520,7 @@ def mp2(sample, beta: float) -> StatisticValue:
     factors of the product s·t, which weights departures differently.
     Evaluates the closed-form reduction, again O(n) after sorting.
     """
-    return _single_pareto(MP2, sample, beta)
+    return _single([MP2], sample, beta)[0]
 
 
 def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
@@ -581,7 +578,7 @@ def mellin_g(sample, beta: float, a: float = 1.0) -> StatisticValue:
     kept for its accuracy, not its speed.
     """
     kind = MELLIN_G if a == 1.0 else TestKind(TestTag.MELLIN_G, a)
-    return _single_pareto(kind, sample, beta)
+    return _single([kind], sample, beta)[0]
 
 
 def exp_edf_suite(sample) -> list:

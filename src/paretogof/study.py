@@ -37,6 +37,7 @@ from .inference import (
     CriticalValueTable,
     PowerEstimate,
     TestResult,
+    _check_alpha,
     bootstrap_pvalue_many,
     null_critical_values,
     power_fixed_critical_many,
@@ -98,9 +99,10 @@ def mixture_grid(contaminant: Contaminant, mean: float = 3.0) -> tuple:
 class StudyConfig:
     """Grid and budget of one simulation study.
 
-    Replication counts are the full-study budgets; ``desk_scale`` shrinks
-    them uniformly and defaults to the 0.1 smoke tier, which keeps a full
-    grid in CI-friendly minutes. Scaled counts must stay at or above 1000 so
+    ``alpha`` is the test level, in (0, 1] as for every route. Replication
+    counts are the full-study budgets; ``desk_scale`` shrinks them uniformly
+    and defaults to the 0.1 smoke tier, which keeps a full grid in
+    CI-friendly minutes. Scaled counts must stay at or above 1000 so
     that quantile estimates remain meaningful; set ``desk_scale=1`` for
     publication-scale runs.
     """
@@ -131,8 +133,7 @@ class StudyConfig:
         repeated = [n for i, n in enumerate(self.sample_sizes) if n in self.sample_sizes[:i]]
         if repeated:
             raise ValueError(f"sample size {repeated[0]} is given more than once")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if not 0.0 < self.desk_scale <= 1.0:
             raise ValueError("desk_scale must lie in (0, 1]")
         if not self.tests or not self.estimators or not self.alternatives:

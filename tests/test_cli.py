@@ -259,6 +259,34 @@ def test_option_values_outside_their_domain_are_usage_errors(argv, message, opti
     assert argv[-1] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["test", "DATA", "--b", "0"], ["golf", "--tour", "pga", "--b", "0"],
+], ids=["test", "golf"])
+def test_a_bootstrap_count_below_one_is_refused_before_any_output(argv, null_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(null_file) if a == "DATA" else a for a in argv] + ["--seed", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no seed line and, for golf, no earnings table
+    assert (f"paretogof {argv[0]}: error: argument --b: expected a positive integer, "
+            "got '0'") in err
+
+
+def test_a_power_level_of_one_is_accepted_from_the_option_and_the_config(tmp_path, capsys):
+    # alpha = 1 lies in (0, 1], the range of --alpha, of every route and of StudyConfig
+    grid = ["--n", "10", "--tests", "ks", "--alternatives", "pareto:2", "--seed", "1"]
+    conf = tmp_path / "study.json"
+    conf.write_text(json.dumps({"alpha": 1}))
+    tables = []
+    for i, source in enumerate((["--alpha", "1"], ["--config", str(conf)])):
+        out_dir = tmp_path / str(i)
+        assert main(["power", *source, *grid, "--output-dir", str(out_dir)]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["config"]["alpha"] == 1.0
+        tables.append((out_dir / "power_n10.csv").read_text())
+    assert tables[0] == tables[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("alternative, message", [
     ("gamma:-1", "theta must be positive"),
     ("expmix:2", "mixing proportion must lie in [0, 1]"),

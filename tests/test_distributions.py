@@ -457,6 +457,8 @@ def test_philox_uniforms_match_the_generator_bit_for_bit(n):
         np.arange(7, 7 + 2 * 40, 2, dtype=np.uint64),  # offset 7, step 2
         np.array([0, 1, top - 1, top, 1 << 63, 123456789], dtype=np.uint64),
     ]
+    if n == 30:  # two whole route chunks and one row more, drawn in one call
+        id_sets.append(np.arange(100, 100 + 2 * (2**16 // n) + 1, dtype=np.uint64))
     for seed in (0, 271828, top):
         for ids in id_sets:
             got = _philox_uniforms(seed, ids, n)
@@ -464,18 +466,11 @@ def test_philox_uniforms_match_the_generator_bit_for_bit(n):
             np.testing.assert_array_equal(got, _generator_rows(seed, ids, n))
 
 
-def test_philox_uniforms_span_several_kernel_passes(monkeypatch):
-    import paretogof.distributions as dist
-
-    ids = np.arange(50, 150, dtype=np.uint64)
-    monkeypatch.setattr(dist, "_PHILOX_BLOCK", 64)  # four rows of n = 13 per pass
-    np.testing.assert_array_equal(_philox_uniforms(9, ids, 13), _generator_rows(9, ids, 13))
-
-
 def test_a_route_chunk_of_rows_is_one_kernel_pass(monkeypatch):
     # the inference routes chunk _PHILOX_BLOCK // n rows; at n = 30 the kernel
     # draws such a chunk in one pass of ten rounds, two products a round
     import paretogof.distributions as dist
+    from paretogof.inference import _PHILOX_BLOCK
 
     calls, mulhilo = [], dist._mulhilo
 
@@ -485,7 +480,7 @@ def test_a_route_chunk_of_rows_is_one_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(dist, "_mulhilo", counted)
     n = 30
-    pareto_rows(1.0, n, dist._PHILOX_BLOCK // n, RandomStream(52, 0))
+    pareto_rows(1.0, n, _PHILOX_BLOCK // n, RandomStream(52, 0))
     assert len(calls) == 2 * dist._PHILOX_ROUNDS == 20
 
 

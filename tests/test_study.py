@@ -95,6 +95,14 @@ def test_config_scaling_floors_at_one_thousand():
         cfg.scaled_reps("bogus")
 
 
+def test_config_alpha_lies_in_the_routes_range():
+    # (0, 1], as for --alpha and every route: alpha = 1 rejects every sample
+    assert StudyConfig(alpha=1.0).alpha == 1.0
+    for alpha in (1.5, 0.0, -0.05):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            StudyConfig(alpha=alpha)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(alpha=0.0)
