@@ -42,7 +42,6 @@ from .inference import (
     CriticalValueTable,
     UnsupportedPathError,
     _check_alpha,
-    bootstrap_pvalue_many,
     null_critical_values,
 )
 from .statistics import ALL_KINDS, EXP_KINDS, PARETO_KINDS, TestKind, TestTag, _unique_kinds
@@ -50,6 +49,10 @@ from .study import (
     GOLF_SCALE,
     StudyConfig,
     Tour,
+    _bootstrap_tests,
+    _check_layout,
+    _check_sizes,
+    _substream,
     golf_dataset,
     render_table,
     run_golf_application,
@@ -58,8 +61,6 @@ from .study import (
 )
 
 __all__ = ["main"]
-
-_TOUR_STRIDE = 1 << 40
 
 _TEST_TOKENS = {k.label.lower().replace("exp", "exp-"): k for k in ALL_KINDS}
 
@@ -75,12 +76,6 @@ _MIXTURE_TOKENS = {
 
 class CliParseError(Exception):
     """Input file content that cannot be interpreted as a dataset."""
-
-
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    return SystemRandom().randrange(1 << 32)
 
 
 def _test_token(token) -> str:
@@ -102,28 +97,28 @@ def _parse_tests(tokens, tuning_a: float):
     return _unique_kinds(kinds)
 
 
-def _tuning_constant(text: str) -> float:
-    try:
-        return TestKind(TestTag.MELLIN_G, float(text)).tuning_a
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(parse, check):
+    """An option's type: ``parse`` the text and ``check`` the value, whose
+    ValueError the parser reports with the option's name."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+def _positive(value: int) -> None:
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        raise ValueError(f"expected a positive integer, got '{value}'")
 
 
-def _level(text: str) -> float:
-    try:
-        return _check_alpha(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_positive_int = _option(int, _positive)
+_tuning_constant = _option(float, lambda a: TestKind(TestTag.MELLIN_G, a))
+_level = _option(float, _check_alpha)
+_seed = _option(int, RandomStream)  # RandomStream refuses a seed outside its key range
 
 
 def _parse_estimators(token: str):
@@ -205,14 +200,8 @@ def cmd_test(args) -> int:
     if args.scale <= 0:
         raise DomainError(f"scale divisor must be positive, got {args.scale!r}")
     sample = Sample(raw / args.scale)
-    results = []
-    for i, estimator in enumerate(args.estimator):
-        results.extend(
-            bootstrap_pvalue_many(
-                args.tests, estimator, sample, args.b,
-                RandomStream(args.seed, i * _TOUR_STRIDE), (args.alpha,),
-            )
-        )
+    results = _bootstrap_tests(sample, args.estimator, args.tests, args.b,
+                               RandomStream(args.seed), "loop", (args.alpha,))
     print(f"n = {sample.n}, scale divisor = {args.scale:g}, "
           f"B = {args.b}, alpha = {args.alpha:g}")
     for r in results:
@@ -230,15 +219,12 @@ def cmd_test(args) -> int:
 
 
 def cmd_critical_values(args) -> int:
-    # each size draws from its own stream, so a repeated one would be simulated
-    # again and overwrite the first with other digits
-    repeated = next((n for i, n in enumerate(args.n) if n in args.n[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"--n: size {repeated} is given more than once")
+    _check_sizes(args.n)
+    _check_layout("loop", len(args.n), args.reps, "replications")
     table = CriticalValueTable(reps=args.reps, seed=args.seed)
     for i, n in enumerate(args.n):
         table.entries.update(null_critical_values(
-            args.tests, n, args.alpha, args.reps, RandomStream(args.seed, i * _TOUR_STRIDE)
+            args.tests, n, args.alpha, args.reps, _substream(RandomStream(args.seed), "loop", i)
         ).entries)
     print(f"reps = {args.reps}")
     for (kind, estimator, n, alpha), value in sorted(
@@ -285,7 +271,7 @@ def cmd_power(args) -> int:
                                        args.tuning_a)
     file_estimators = pick(None, "estimators", _parse_estimators)  # a list per token
     fields = {
-        "sample_sizes": pick(args.n, "sample_sizes", int),
+        "sample_sizes": pick(args.n, "sample_sizes", _positive_int),
         "alpha": pick(args.alpha, "alpha", _level, one=True),
         "estimators": args.estimator or (file_estimators and sum(file_estimators, [])),
         "alternatives": pick(args.alternatives, "alternatives", _parse_alternative),
@@ -333,7 +319,7 @@ def cmd_golf(args) -> int:
         print(f"average earnings {_fmt_thousands(data.mean_earnings)} per player")
         results = run_golf_application(
             tour, args.estimator, args.tests, args.b,
-            RandomStream(args.seed, tour_idx * _TOUR_STRIDE),
+            _substream(RandomStream(args.seed), "loop", tour_idx),
         )
         print(render_table(results, args.format), end="")
     return 0
@@ -349,7 +335,7 @@ def _add_common(p, default_tests, *, fmt=True):
                    help="tests to run (ks cv ad za g mp1 mp2 exp-* pareto exp all)")
     p.add_argument("--tuning-a", type=_tuning_constant, default=1.0,
                    help="tuning constant of the G statistic")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="RNG seed; generated and printed when omitted")
     if fmt:
         p.add_argument("--format", choices=("markdown", "csv"), default="markdown",
@@ -376,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(func=cmd_test)
 
     p_cv = sub.add_parser("critical-values", help="simulate a critical-value table")
-    p_cv.add_argument("--n", type=int, nargs="+", default=[20, 30])
+    p_cv.add_argument("--n", type=_positive_int, nargs="+", default=[20, 30])
     p_cv.add_argument("--alpha", type=_level, nargs="+", default=[0.01, 0.05, 0.10])
     p_cv.add_argument("--reps", type=int, default=100_000)
     p_cv.add_argument("--output", default=None, help="write the table file here")
@@ -384,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.set_defaults(func=cmd_critical_values)
 
     p_pow = sub.add_parser("power", help="run a power study")
-    p_pow.add_argument("--n", type=int, nargs="+", default=None)
+    p_pow.add_argument("--n", type=_positive_int, nargs="+", default=None)
     p_pow.add_argument("--alpha", type=_level, default=None)
     p_pow.add_argument("--estimator", type=_parse_estimators, default=None)
     p_pow.add_argument("--alternatives", nargs="+", type=_parse_alternative, default=None,
@@ -420,7 +406,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tests is not None:  # after parsing, so --tuning-a may follow --tests
         args.tests = _parse_tests(args.tests, args.tuning_a)
-    args.seed = _resolve_seed(args.seed)
+    if args.seed is None:
+        args.seed = SystemRandom().randrange(1 << 32)
     try:
         print(f"seed: {args.seed}")
         code = args.func(args)

@@ -4,7 +4,9 @@ This module wires the inference routines into full simulation studies. A
 :class:`StudyConfig` fixes the grid (sample sizes, alternatives, statistics,
 estimators, replication counts, master seed); :func:`run_power_table` produces
 one table per sample size with a deterministic substream block per cell, so
-re-running any subset of the grid reproduces identical numbers.
+re-running any subset of the grid reproduces identical numbers. Every
+command's stream ids come from one substream layout, ``_LAYOUT``, and one
+check, ``_check_layout``, refuses a run whose ids would meet.
 
 The golf application embeds the two 2022-season earnings datasets (all
 players above the 3.5 million selection threshold, 28 per tour) and tests
@@ -62,9 +64,51 @@ __all__ = [
     "study_manifest",
 ]
 
-# one substream block per table cell; cells never overlap
-_CELL_STRIDE = 1 << 32
-_CV_BLOCK = 1 << 20  # block index where per-n critical-value pools start
+# The substream layout: the one place that chooses a stream id. Philox keys
+# (seed, id) give independent streams only when they differ, so no two rows of
+# one run may share an id. Index i of a role owns block first + i, the 2**bits
+# ids from (first + i) * 2**bits above the role's base, and the role's blocks
+# end below id 2**room above it:
+#   cell       power cell c, counted size-major, then alternative, then
+#              estimator; its 2**20 blocks end where the pools start
+#   pool       the critical-value pool of size index k, at block 2**20 + k
+#   loop       index i of test (estimator), critical-values (size) and golf (tour)
+#   estimator  golf estimator e, inside its tour's loop block
+# A golf estimator's base is its tour's stream; every other role's is id 0 of
+# the master seed. ``_check_layout`` refuses a run whose rows leave their blocks.
+_LAYOUT = {  # role: (first, bits, room)
+    "cell": (0, 32, 52),
+    "pool": (1 << 20, 32, 64),
+    "loop": (0, 40, 64),
+    "estimator": (0, 32, 40),
+}
+_MASTER_SEED = 271828  # the default of StudyConfig and run_golf_application
+
+
+def _substream(base: RandomStream, role: str, index: int) -> RandomStream:
+    """The stream of ``role``'s index ``index`` above ``base`` (see ``_LAYOUT``)."""
+    first, bits, _ = _LAYOUT[role]
+    return base.shifted((first + index) << bits)
+
+
+def _check_layout(role: str, count: int, ids: int, what: str) -> None:
+    """Refuse ``count`` indices of ``role`` that draw ``ids`` ids each (``what``
+    names them in the message) when one index would overrun its block, or the
+    role's blocks its room, and so reach another role's ids or pass 2**64."""
+    first, bits, room = _LAYOUT[role]
+    if ids > 1 << bits:
+        raise ValueError(f"{what} overrun the 2**{bits} substreams of each {role}")
+    if (first + count) << bits > 1 << room:
+        raise ValueError(f"{count} {role}s overrun the substream layout, which holds "
+                         f"{(1 << room - bits) - first}")
+
+
+def _check_sizes(sizes) -> None:
+    """Refuse a repeated sample size: each size owns its streams (its pool and
+    cells, or its loop index), so a repeat would run again on other streams."""
+    repeated = next((n for i, n in enumerate(sizes) if n in sizes[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"sample size {repeated} is given more than once")
 
 
 def _alts(family: Family, *thetas) -> tuple:
@@ -116,7 +160,7 @@ class StudyConfig:
     power_reps: int = 10_000
     warp_reps: int = 50_000
     desk_scale: float = 0.1
-    master_seed: int = 271828
+    master_seed: int = _MASTER_SEED
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
@@ -129,25 +173,22 @@ class StudyConfig:
             raise ValueError("sample sizes must be non-empty")
         if any(n < 1 for n in self.sample_sizes):
             raise ValueError("sample sizes must be positive")
-        # each size draws from its own streams, so a repeat would run its table again
-        repeated = [n for i, n in enumerate(self.sample_sizes) if n in self.sample_sizes[:i]]
-        if repeated:
-            raise ValueError(f"sample size {repeated[0]} is given more than once")
+        _check_sizes(self.sample_sizes)
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if not 0.0 < self.desk_scale <= 1.0:
             raise ValueError("desk_scale must lie in (0, 1]")
         if not self.tests or not self.estimators or not self.alternatives:
             raise ValueError("tests, estimators and alternatives must be non-empty")
-        # substreams a route reaches per cell: one per replication, two for
-        # the interleaved alternative and bootstrap rows of a warp-speed cell
-        for name, per_rep in (("critical", 1), ("power", 1), ("warp", 2)):
+        # substreams a route reaches per pool or cell: one per replication, two
+        # for the interleaved alternative and bootstrap rows of a warp-speed cell
+        cells = len(self.sample_sizes) * len(self.alternatives) * len(self.estimators)
+        for name, role, count, per_rep in (("critical", "pool", len(self.sample_sizes), 1),
+                                           ("power", "cell", cells, 1),
+                                           ("warp", "cell", cells, 2)):
             reps = self.scaled_reps(name)
             if reps < 1000:
                 raise ValueError(f"{name} replications fall below 1000 after desk scaling")
-            if per_rep * reps > _CELL_STRIDE:
-                raise ValueError(
-                    f"{name} replications overrun the 2**32 substreams of a cell"
-                )
+            _check_layout(role, count, per_rep * reps, f"{name} replications")
         RandomStream(self.master_seed)  # rejects a seed outside [0, 2**64)
 
     def scaled_reps(self, which: str) -> int:
@@ -181,15 +222,6 @@ class PowerTable:
         return self.cells.get((alternative, kind, EstimatorMethod(estimator)))
 
 
-def _cell_stream(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int) -> RandomStream:
-    cell = (n_idx * len(config.alternatives) + alt_idx) * len(config.estimators) + est_idx
-    return RandomStream(config.master_seed, cell * _CELL_STRIDE)
-
-
-def _cv_stream(config: StudyConfig, n_idx: int) -> RandomStream:
-    return RandomStream(config.master_seed, (_CV_BLOCK + n_idx) * _CELL_STRIDE)
-
-
 def _run_cell(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
               cv_table: CriticalValueTable | None):
     n = config.sample_sizes[n_idx]
@@ -199,7 +231,8 @@ def _run_cell(config: StudyConfig, n_idx: int, alt_idx: int, est_idx: int,
              if not (k.is_exponentiality and estimator is EstimatorMethod.MME)]
     if not kinds:
         return {}
-    stream = _cell_stream(config, n_idx, alt_idx, est_idx)
+    cell = (n_idx * len(config.alternatives) + alt_idx) * len(config.estimators) + est_idx
+    stream = _substream(RandomStream(config.master_seed), "cell", cell)
     if estimator is EstimatorMethod.MLE:
         return power_fixed_critical_many(
             kinds, alt, n, config.alpha, config.scaled_reps("power"), cv_table, stream
@@ -300,9 +333,9 @@ def run_power_table(config: StudyConfig, n: int | None = None,
     tasks = list(product(range(len(config.alternatives)), range(len(config.estimators))))
     cv_table = None
     if EstimatorMethod.MLE in config.estimators:
-        cv_table = null_critical_values(config.tests, n, [config.alpha],
-                                        config.scaled_reps("critical"),
-                                        _cv_stream(config, n_idx))
+        cv_table = null_critical_values(
+            config.tests, n, [config.alpha], config.scaled_reps("critical"),
+            _substream(RandomStream(config.master_seed), "pool", n_idx))
     outcomes = _cell_outcomes(config, n_idx, tasks, cv_table, min(jobs, len(tasks)))
     cells: dict = {}
     notes: list = []
@@ -398,19 +431,21 @@ def run_golf_application(tour: Tour, estimators=(EstimatorMethod.MME, EstimatorM
                          stream: RandomStream | None = None,
                          alphas=DEFAULT_ALPHAS, scale: float = GOLF_SCALE) -> list:
     """Bootstrap tests of one tour's earnings; returns a TestResult per
-    (estimator, test) pair, estimator-major, in the given test order."""
-    if stream is None:
-        stream = RandomStream(271828)
-    data = golf_dataset(tour, scale)
-    results: list = []
-    for est_idx, estimator in enumerate(estimators):
-        results.extend(
-            bootstrap_pvalue_many(
-                tests, estimator, data.sample, B,
-                stream.shifted(est_idx * _CELL_STRIDE), alphas,
-            )
-        )
-    return results
+    (estimator, test) pair, estimator-major, in the given test order.
+    Estimator e draws from the ``"estimator"`` block e above ``stream``."""
+    return _bootstrap_tests(golf_dataset(tour, scale).sample, tuple(estimators), tests, B,
+                            RandomStream(_MASTER_SEED) if stream is None else stream,
+                            "estimator", alphas)
+
+
+def _bootstrap_tests(sample: Sample, estimators, tests, B: int, base: RandomStream,
+                     role: str, alphas) -> list:
+    """Bootstrap tests of ``sample``, a TestResult per (estimator, test) pair,
+    estimator-major; estimator i draws from ``role``'s index i above ``base``."""
+    _check_layout(role, len(estimators), B, "bootstrap replications")
+    return [result for i, estimator in enumerate(estimators)
+            for result in bootstrap_pvalue_many(tests, estimator, sample, B,
+                                                _substream(base, role, i), alphas)]
 
 
 # ---------------------------------------------------------------------------

@@ -228,14 +228,20 @@ def test_missing_input_path_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
-    assert main(["test", str(null_file), "--seed", "-1", "--b", "10"]) == 2
-    assert "seed=-1" in capsys.readouterr().err
-    # the moment route builds no critical-value table, so the study config
-    # itself has to reject the seed
-    assert main(["power", "--seed", str(2**64), "--n", "10", "--estimator", "mme",
-                 "--alternatives", "pareto:2", "--tests", "ks"]) == 2
-    assert f"seed={2**64}" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, seed", [
+    (["test", "DATA", "--b", "10"], -1),
+    (["power", "--n", "10", "--estimator", "mme", "--alternatives", "pareto:2",
+      "--tests", "ks"], 2**64),
+], ids=["test", "power"])
+def test_seed_outside_64_bits_is_a_usage_error(argv, seed, null_file, capsys):
+    # the parser refuses it with RandomStream's key range, before the seed line
+    with pytest.raises(SystemExit) as exc:
+        main([str(null_file) if a == "DATA" else a for a in argv] + ["--seed", str(seed)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"paretogof {argv[0]}: error: argument --seed: " in err
+    assert f"seed={seed}" in err
 
 
 @pytest.mark.parametrize("argv, message, option", [
@@ -247,7 +253,13 @@ def test_seed_outside_64_bits_is_a_usage_error(null_file, capsys):
     (["test", "data.txt", "--tests", "g", "--tuning-a", "0"],
      "tuning constant must be positive", "--tuning-a"),
     (["power", "--alpha", "2"], "alpha must lie in (0, 1]", "--alpha"),
-], ids=["gamma", "expmix", "gamma-x", "tuning-a", "power-alpha"])
+    (["critical-values", "--seed", "-1"], "must lie in [0, 2**64)", "--seed"),
+    (["golf", "--seed", str(2**64)], "must lie in [0, 2**64)", "--seed"),
+    (["test", "data.txt", "--seed", "x"], "invalid literal for int()", "--seed"),
+    (["critical-values", "--n", "20", "0"], "expected a positive integer, got '0'", "--n"),
+    (["power", "--n", "-3"], "expected a positive integer, got '-3'", "--n"),
+], ids=["gamma", "expmix", "gamma-x", "tuning-a", "power-alpha", "cv-seed", "golf-seed",
+        "test-seed-x", "cv-n", "power-n"])
 def test_option_values_outside_their_domain_are_usage_errors(argv, message, option, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -317,11 +329,12 @@ def test_config_values_go_through_the_option_parsers(tmp_path, capsys):
 # a key that no option reads, such as a budget or a misspelt field, is refused
 # too, rather than dropped
 @pytest.mark.parametrize("key, value", [
-    ("sample_sizes", "x"), ("sample_sizes", [10.5]), ("estimators", ["map"]),
+    ("sample_sizes", "x"), ("sample_sizes", [10.5]), ("sample_sizes", [10, 0]),
+    ("estimators", ["map"]),
     ("alpha", "high"), ("alpha", [0.05]), ("alpha", 2), ("desk_scale", None),
     ("critical_reps", 200_000), ("power_reps", 20_000), ("warp_reps", 30_000),
     ("master_seed", 7), ("bogus", 1),
-], ids=["sample_sizes-x", "sample_sizes-10.5", "estimators-map", "alpha-high", "alpha-list", "alpha-2",
+], ids=["sample_sizes-x", "sample_sizes-10.5", "sample_sizes-0", "estimators-map", "alpha-high", "alpha-list", "alpha-2",
         "desk_scale-null", "critical_reps", "power_reps", "warp_reps", "master_seed",
         "bogus"])
 def test_config_values_their_option_rejects_exit_three(key, value, tmp_path, capsys):
@@ -391,6 +404,15 @@ def test_invalid_study_grid_is_a_usage_error(capsys):
                  "--scale-factor", "0.001", "--seed", "1"])
     assert code == 2
     assert "replications fall below 1000 after desk scaling" in capsys.readouterr().err
+
+
+def test_a_grid_whose_cells_reach_the_pools_is_a_usage_error(capsys):
+    # 513 sizes x 1024 alternatives x 2 estimators: cell 2**20 is the first pool's
+    code = main(["power", "--n", *map(str, range(1, 514)),
+                 "--alternatives", *["pareto:2"] * 1024, "--estimator", "both",
+                 "--tests", "ks", "--seed", "1"])
+    assert code == 2
+    assert "1050624 cells overrun the substream layout" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +600,28 @@ def test_cmd_golf_single_tour(capsys):
     assert "LIV season earnings" in out
     assert "PGA season earnings" not in out
     assert "mle" in out.lower()
+
+
+# p = (1 + exceedances) / (B + 1) of every (tour, test), MME then MLE, for
+# ``golf --b 200 --seed 5``; they move if any tour or estimator moves its streams
+_GOLF_SEED_5_EXCEEDANCES_PLUS_ONE = {
+    "PGA": {"KS": (4, 8), "CV": (5, 16), "AD": (9, 30), "ZA": (20, 31),
+            "G": (4, 16), "MP1": (5, 16), "MP2": (6, 21)},
+    "LIV": {"KS": (112, 123), "CV": (111, 155), "AD": (134, 171), "ZA": (155, 183),
+            "G": (86, 130), "MP1": (108, 154), "MP2": (103, 153)},
+}
+
+
+def test_cmd_golf_p_values_are_pinned(capsys):
+    assert main(["golf", "--b", "200", "--seed", "5", "--format", "csv"]) == 0
+    tables = capsys.readouterr().out.split("test,mme statistic,mme p-value,")[1:]
+    assert len(tables) == 2
+    for tour, table in zip(("PGA", "LIV"), tables):
+        rows = [line.split(",") for line in table.splitlines()[1:8]]
+        assert {row[0]: (float(row[2]), float(row[4])) for row in rows} == {
+            kind: (mme / 201, mle / 201)
+            for kind, (mme, mle) in _GOLF_SEED_5_EXCEEDANCES_PLUS_ONE[tour].items()
+        }
 
 
 def test_cmd_golf_is_deterministic(capsys):

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paretogof import (
     AD,
@@ -38,8 +39,7 @@ from paretogof.statistics import EXP_KS
 from paretogof.study import (
     GOLF_SCALE,
     MIXTURE_PROPORTIONS,
-    _cell_stream,
-    _cv_stream,
+    _substream,
     study_manifest,
 )
 
@@ -161,17 +161,53 @@ def test_config_refuses_replications_that_overrun_a_cell_block():
 # stream layout
 
 
-def test_cell_streams_do_not_collide():
-    cfg = StudyConfig()
-    seen = set()
-    for n_idx in range(2):
-        seen.add(_cv_stream(cfg, n_idx).stream_id)
-        for alt_idx in range(27):
-            for est_idx in range(2):
-                seen.add(_cell_stream(cfg, n_idx, alt_idx, est_idx).stream_id)
-    # every block is 2^32 wide, so ids must all be distinct
-    assert len(seen) == 2 + 2 * 27 * 2
-    assert min(b - a for a, b in zip(sorted(seen), sorted(seen)[1:])) >= 1 << 20
+def _grid(sizes, alternatives, estimators, **budgets):
+    return dict(sample_sizes=range(1, sizes + 1),
+                alternatives=(AlternativeSpec(Family.PARETO, 2.0),) * alternatives,
+                estimators=(MME, MLE, MME)[:estimators], **budgets)
+
+
+def _ids(role, index):
+    return _substream(RandomStream(0), role, index).stream_id
+
+
+@settings(max_examples=200)
+@given(sizes=st.integers(1, 600), alternatives=st.integers(1, 1100),
+       estimators=st.integers(1, 3), critical=st.integers(1000, 1 << 33),
+       power=st.integers(1000, 1 << 33), warp=st.integers(1000, 1 << 33))
+def test_a_grid_is_accepted_exactly_when_its_stream_ids_stay_apart(
+        sizes, alternatives, estimators, critical, power, warp):
+    cells = sizes * alternatives * estimators
+    # the documented layout: cell c at c * 2**32, pool k at (2**20 + k) * 2**32
+    assert _ids("cell", cells - 1) == (cells - 1) << 32
+    assert _ids("pool", sizes - 1) == ((1 << 20) + sizes - 1) << 32
+    # each role's indices are evenly spaced, so index i fills
+    # [first + i * stride, first + i * stride + ids): the indices stay apart when
+    # ids <= stride, and the roles when their hulls [first, last + ids) do
+    roles = []
+    for role, count, ids in (("cell", cells, max(power, 2 * warp)),
+                             ("pool", sizes, critical)):
+        first = _ids(role, 0)
+        roles.append((first, _ids(role, count - 1) + ids, ids <= _ids(role, 1) - first))
+    (low, low_end, low_apart), (high, high_end, high_apart) = sorted(roles)
+    apart = (low_apart and high_apart and low_end <= high
+             and 0 <= low and high_end <= 1 << 64)
+    grid = _grid(sizes, alternatives, estimators, critical_reps=critical,
+                 power_reps=power, warp_reps=warp, desk_scale=1.0)
+    if apart:
+        StudyConfig(**grid)
+    else:
+        with pytest.raises(ValueError, match="overrun"):
+            StudyConfig(**grid)
+
+
+def test_a_grid_whose_cells_reach_the_pools_is_refused():
+    # cell 2**20 would draw from the first critical-value pool's streams
+    assert _ids("cell", 1 << 20) == _ids("pool", 0)
+    StudyConfig(**_grid(512, 1024, 2))
+    with pytest.raises(ValueError, match="1050624 cells overrun the substream layout, "
+                                         "which holds 1048576"):
+        StudyConfig(**_grid(513, 1024, 2))
 
 
 # ---------------------------------------------------------------------------
